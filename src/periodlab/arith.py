@@ -105,18 +105,6 @@ def min_rotation(w):
     return doubled[best : best + n]
 
 
-def reachable_sums(generators, limit: int) -> set[int]:
-    """All sums of multisets over ``generators`` that are <= limit (0 included)."""
-    gens = sorted({g for g in generators if 1 <= g <= limit})
-    reach = bytearray(limit + 1)
-    reach[0] = 1
-    for g in gens:
-        for s in range(g, limit + 1):
-            if reach[s - g]:
-                reach[s] = 1
-    return {s for s in range(limit + 1) if reach[s]}
-
-
 def semigroup_tail_start(generators) -> int:
     """Certified t such that every multiple of g = gcd(generators) with value >= t
     is a nonnegative combination of the generators.

@@ -98,6 +98,18 @@ def _load_json(path: str):
         ) from exc
 
 
+def _from_data(build, *args):
+    """Build an input object from decoded JSON. Missing fields, wrong types
+    and dangling references are malformed input, so they exit as parse
+    errors."""
+    try:
+        return build(*args)
+    except KeyError as exc:
+        raise ParseFailure(f"malformed input: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseFailure(f"malformed input: {exc}") from exc
+
+
 def detect_kind(data) -> str:
     if not isinstance(data, dict):
         raise ParseFailure("top-level JSON value must be an object")
@@ -111,6 +123,10 @@ def detect_kind(data) -> str:
         return "descriptor"
     if "vertices" in data and "edges" in data:
         edges = data["edges"]
+        if not isinstance(edges, list) or not all(
+            isinstance(e, dict) for e in edges
+        ):
+            raise ParseFailure("edges must be a list of objects")
         if edges and all("label" in e for e in edges):
             return "labeled_graph"
         return "graph"
@@ -215,24 +231,26 @@ def cmd_analyze(args) -> RunReport:
     report.outputs["input_kind"] = kind
     cap = args.oracle_cap
     if kind == "graph":
-        g = DirectedMultigraph.from_json(data)
+        g = _from_data(DirectedMultigraph.from_json, data)
         table = _analyze_graph(g, args.horizon, cap, report)
         if args.format == "csv":
             report.outputs["rendered"] = table.to_csv()
         elif args.format == "dot":
             report.outputs["rendered"] = g.to_dot()
     elif kind == "forbidden_words":
-        spec = ForbiddenWordSpec.build(data["alphabet"], data["forbidden"])
+        spec = _from_data(
+            ForbiddenWordSpec.build, data["alphabet"], data["forbidden"]
+        )
         g = higher_block_recode(spec)
         report.outputs["recoded_graph"] = g.to_json()
         _analyze_graph(g, args.horizon, cap, report)
     elif kind == "labeled_graph":
-        lg = LabeledGraph.from_json(data)
+        lg = _from_data(LabeledGraph.from_json, data)
         _analyze_labeled(lg, args.horizon, cap, report)
         if args.format == "dot":
             report.outputs["rendered"] = lg.to_dot()
     elif kind == "gap_set":
-        s = GapSet.from_json(data)
+        s = _from_data(GapSet.from_json, data)
         _analyze_gap(s, args.horizon, cap, report)
     else:
         raise ParseFailure(f"analyze does not accept {kind} input")
@@ -243,7 +261,7 @@ def cmd_layers(args) -> RunReport:
     raw, data = _load_json(args.input)
     if detect_kind(data) != "labeled_graph":
         raise ParseFailure("layers needs a labeled-graph input")
-    lg = LabeledGraph.from_json(data)
+    lg = _from_data(LabeledGraph.from_json, data)
     report = RunReport("layers", _digest(raw), args.horizon, args.seed)
     dec = unique_preimage_lps(lg, args.horizon)
     res = sofic_lps_upto(lg, args.horizon)
@@ -264,7 +282,7 @@ def cmd_realize(args) -> RunReport:
     raw, data = _load_json(args.input)
     if detect_kind(data) != "descriptor":
         raise ParseFailure("realize needs a descriptor input")
-    desc = PeriodSetDescriptor.from_json(data)
+    desc = _from_data(PeriodSetDescriptor.from_json, data)
     report = RunReport("realize", _digest(raw), args.horizon, args.seed)
     request = LpsRequest(desc, args.target)
     request.validate()
@@ -331,8 +349,8 @@ def cmd_embed_check(args) -> RunReport:
     raw_y, data_y = _load_json(args.y)
     if detect_kind(data_x) != "graph" or detect_kind(data_y) != "graph":
         raise ParseFailure("embed-check needs two graph inputs")
-    gx = DirectedMultigraph.from_json(data_x)
-    gy = DirectedMultigraph.from_json(data_y)
+    gx = _from_data(DirectedMultigraph.from_json, data_x)
+    gy = _from_data(DirectedMultigraph.from_json, data_y)
     report = RunReport(
         "embed-check", _digest(raw_x + raw_y), args.horizon, args.seed
     )
@@ -387,6 +405,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
+        if args.horizon < 1:
+            raise ParseFailure(f"--horizon must be >= 1, got {args.horizon}")
+        if args.oracle_cap < 1:
+            raise ParseFailure(f"--oracle-cap must be >= 1, got {args.oracle_cap}")
         if args.command == "analyze":
             report = cmd_analyze(args)
         elif args.command == "realize":

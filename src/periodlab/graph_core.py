@@ -32,9 +32,10 @@ class DirectedMultigraph:
     """Finite directed multigraph with opaque string vertex and edge ids.
 
     ``edges`` holds ``(source, target, edge_id)`` triples. Edge ids are
-    unique; endpoints must name existing vertices. Internal indices are
-    assigned in the stored vertex order, which is preserved by the JSON
-    round trip.
+    unique; endpoints must name existing vertices. Internal indices
+    (``index``, ``by_index``, ``adjacency``) follow the sorted order of the
+    vertex ids, not the stored order; the stored order is kept only for
+    output and is preserved by the JSON round trip.
     """
 
     vertices: tuple[str, ...]
@@ -368,14 +369,6 @@ def essential_subgraph(g: DirectedMultigraph) -> DirectedMultigraph:
     return DirectedMultigraph.build(
         [v for v in g.vertices if v in alive],
         [(s, t, e) for (s, t, e) in g.edges if s in alive and t in alive],
-    )
-
-
-def induced_subgraph(g: DirectedMultigraph, vertex_set) -> DirectedMultigraph:
-    keep = set(vertex_set)
-    return DirectedMultigraph.build(
-        [v for v in g.vertices if v in keep],
-        [(s, t, e) for (s, t, e) in g.edges if s in keep and t in keep],
     )
 
 

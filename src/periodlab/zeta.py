@@ -1,8 +1,14 @@
 """Rational zeta functions of edge shifts and recurrence extraction.
 
-All arithmetic here is exact: integer polynomials, fraction-free Bareiss
-elimination for determinants, and Fraction power series. No floating point
-anywhere in this module, since zero-testing of sequence terms must be exact.
+The zeta function of an edge shift is 1 / det(I - tA). Its denominator is
+computed per strongly connected component on the component's weighted core
+(chains of forced vertices contracted to weighted edges, see
+``graph_core.contract_chains``): a small matrix I - B(t) whose entries are
+integer polynomials, reduced by fraction-free Bareiss elimination.
+
+All arithmetic here is exact: integer polynomials, exact determinants, and
+Fraction power series. No floating point anywhere in this module, since
+zero-testing of sequence terms must be exact.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import lcm
-from .graph_core import DirectedMultigraph
+from .graph_core import DirectedMultigraph, contract_chains, scc_decompose
 from .sft_counting import PeriodSetDescriptor
 
 
@@ -251,17 +257,29 @@ def det_poly_matrix(m: list) -> IntPolynomial:
 
 
 def zeta_of_graph(g: DirectedMultigraph) -> RationalFunction:
-    """Zeta function of the edge shift of ``g``: 1 / det(I - tA), exactly."""
-    n = g.n
-    adj = g.adjacency
-    m = [
-        [
-            IntPolynomial.make([1 if i == j else 0, -adj[i][j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return RationalFunction.make(IntPolynomial.one(), det_poly_matrix(m))
+    """Zeta function of the edge shift of ``g``: 1 / det(I - tA), exactly.
+
+    det(I - tA) is block-triangular over the condensation, so it is the
+    product of one determinant per strongly connected component; trivial
+    components contribute 1. Within a component, contracting a chain vertex
+    (one in-edge, one out-edge, pivot exactly 1) is a Schur complement that
+    leaves the determinant unchanged, so each factor is det(I - B(t)) on the
+    weighted core, with B(t)_uv the sum of t**w over core edges u -> v.
+    """
+    dec = scc_decompose(g)
+    det = IntPolynomial.one()
+    for i in dec.nontrivial:
+        core, core_edges = contract_chains(g, dec.components[i])
+        k = len(core)
+        idx = {v: j for j, v in enumerate(core)}
+        rows = [[[int(a == b)] for b in range(k)] for a in range(k)]
+        for u, v, w in core_edges:
+            entry = rows[idx[u]][idx[v]]
+            entry.extend([0] * (w + 1 - len(entry)))
+            entry[w] -= 1
+        m = [[IntPolynomial.make(c) for c in row] for row in rows]
+        det = det * det_poly_matrix(m)
+    return RationalFunction.make(IntPolynomial.one(), det)
 
 
 def log_derivative_series(z: RationalFunction, N: int) -> list:
@@ -284,7 +302,9 @@ def _log_derivative(z: RationalFunction) -> RationalFunction:
 def p_sequence_rational(z: RationalFunction) -> RationalFunction:
     """t * z'/z: the generating function whose t^n coefficient is p_n."""
     f = _log_derivative(z)
-    return RationalFunction.make(f.num.shift(1), f.den)
+    # f is reduced and f.den(0) != 0, so t never divides f.den: t * f is
+    # already reduced and needs no second gcd.
+    return RationalFunction(f.num.shift(1), f.den)
 
 
 # -- linear recurrences -------------------------------------------------------

@@ -91,6 +91,42 @@ class TestAnalyze:
         assert payload["error"] == "parse"
         assert "line" in payload["detail"]
 
+    def test_edge_missing_field_is_parse_error(self, tmp_path, capsys):
+        broken = {"vertices": ["a"], "edges": [{"id": "e1", "from": "a"}]}
+        path = write(tmp_path, "broken.json", broken)
+        code, payload = run(capsys, ["analyze", "--input", path])
+        assert code == EXIT_PARSE
+        assert payload["error"] == "parse"
+        assert "to" in payload["detail"]
+
+    def test_edges_not_objects_is_parse_error(self, tmp_path, capsys):
+        for edges in ([1], 5):
+            path = write(tmp_path, "edges.json", {"vertices": ["a"], "edges": edges})
+            code, payload = run(capsys, ["analyze", "--input", path])
+            assert code == EXIT_PARSE
+            assert payload["error"] == "parse"
+
+    def test_dangling_vertex_is_parse_error(self, tmp_path, capsys):
+        dangling = {
+            "vertices": ["a"],
+            "edges": [{"id": "e1", "from": "a", "to": "ghost"}],
+        }
+        path = write(tmp_path, "dangling.json", dangling)
+        code, payload = run(capsys, ["analyze", "--input", path])
+        assert code == EXIT_PARSE
+        assert payload["error"] == "parse"
+        assert "missing vertex" in payload["detail"]
+
+    def test_zero_horizon_is_parse_error(self, tmp_path, capsys):
+        path = write(tmp_path, "gm.json", GOLDEN)
+        code, payload = run(capsys, ["analyze", "--input", path, "--horizon", "0"])
+        assert code == EXIT_PARSE
+        assert payload["error"] == "parse"
+        assert "--horizon" in payload["detail"]
+        code, payload = run(capsys, ["analyze", "--input", path, "--oracle-cap", "0"])
+        assert code == EXIT_PARSE
+        assert "--oracle-cap" in payload["detail"]
+
     def test_determinism(self, tmp_path, capsys):
         path = write(tmp_path, "gm.json", GOLDEN)
         code1, r1 = run(capsys, ["analyze", "--input", path, "--horizon", "8"])

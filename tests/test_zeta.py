@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from periodlab.graph_core import trace_power
-from periodlab.sft_counting import ps_descriptor
+from periodlab.graph_core import subdivide_edges, trace_power
+from periodlab.realize import realize_irreducible_sft
+from periodlab.sft_counting import PeriodSetDescriptor, ps_descriptor
 from periodlab.zeta import (
     IntPolynomial,
     LinearRecurrence,
     NoPatternFit,
     RationalFunction,
+    _log_derivative,
+    det_poly_matrix,
     empirical_zero_set,
     log_derivative_series,
     p_sequence_rational,
@@ -95,6 +98,122 @@ class TestZeta:
             assert exp_truncation(pn, 12) == z.series(13)
 
 
+def dense_zeta(g):
+    """1 / det(I - tA) by Bareiss on the full n x n matrix: the reference
+    the per-component core determinant must reproduce."""
+    adj = g.adjacency
+    m = [
+        [IntPolynomial.make([int(i == j), -adj[i][j]]) for j in range(g.n)]
+        for i in range(g.n)
+    ]
+    return RationalFunction.make(IntPolynomial.one(), det_poly_matrix(m))
+
+
+def ring_with_cycles(ring, attached):
+    """A ring of ``ring`` vertices; for each (at, length) in ``attached`` a
+    cycle of that length through ring vertex ``at``."""
+    verts = [f"r{i}" for i in range(ring)]
+    edges = [(f"r{i}", f"r{(i + 1) % ring}", f"r.e{i}") for i in range(ring)]
+    for k, (at, length) in enumerate(attached):
+        path = [f"r{at}"] + [f"a{k}.{i}" for i in range(1, length)] + [f"r{at}"]
+        verts += path[1:-1]
+        edges += [(path[i], path[i + 1], f"a{k}.e{i}") for i in range(length)]
+    return build_graph(verts, edges)
+
+
+def doubled_triangle(prefix="x"):
+    """A 3-cycle with one doubled edge: det(I - tA) = 1 - 2t^3."""
+    v = [f"{prefix}{i}" for i in range(3)]
+    return v, [
+        (v[0], v[1], f"{prefix}.a"), (v[0], v[1], f"{prefix}.b"),
+        (v[1], v[2], f"{prefix}.c"), (v[2], v[0], f"{prefix}.d"),
+    ]
+
+
+def loop_and_five_cycle(prefix="y"):
+    """A self-loop and a 5-cycle through one vertex: 1 - t - t^5."""
+    v = [f"{prefix}{i}" for i in range(5)]
+    edges = [(v[0], v[0], f"{prefix}.loop")]
+    edges += [(v[i], v[(i + 1) % 5], f"{prefix}.e{i}") for i in range(5)]
+    return v, edges
+
+
+def bridged_components():
+    """The two graphs above joined by a bridge through a trivial vertex."""
+    xv, xe = doubled_triangle()
+    yv, ye = loop_and_five_cycle()
+    bridge = [("x2", "m", "bridge1"), ("m", "y0", "bridge2")]
+    return build_graph(xv + ["m"] + yv, xe + bridge + ye)
+
+
+def loops_and_parallels():
+    """Parallel edges, self-loops on chain and branch vertices, and a
+    2-cycle of parallel pairs."""
+    verts = ["a", "b", "c", "d"]
+    edges = [
+        ("a", "a", "e0"), ("a", "a", "e1"), ("a", "b", "e2"), ("b", "c", "e3"),
+        ("c", "c", "e4"), ("c", "d", "e5"), ("d", "a", "e6"), ("d", "a", "e7"),
+        ("b", "d", "e8"), ("d", "b", "e9"), ("d", "b", "e10"),
+    ]
+    return build_graph(verts, edges)
+
+
+def golden_mean_graph():
+    return build_graph(
+        ["a", "b"], [("a", "a", "e1"), ("a", "b", "e2"), ("b", "a", "e3")]
+    )
+
+
+CORE_CASES = {
+    "cycle40": lambda: cycle_graph(40),
+    "ring20+11": lambda: ring_with_cycles(20, [(0, 11)]),
+    "ring25+20": lambda: ring_with_cycles(25, [(7, 20)]),
+    "ring30+12+19": lambda: ring_with_cycles(30, [(0, 12), (11, 19)]),
+    "ring33+28": lambda: ring_with_cycles(33, [(5, 28)]),
+    "subdivided_golden": lambda: subdivide_edges(golden_mean_graph(), 7),
+    "realized_2x(n>=3)": lambda: realize_irreducible_sft(
+        PeriodSetDescriptor.make((), [(2, 3, ())], certified=True)
+    ),
+    "loops_and_parallels": loops_and_parallels,
+    "bridged_components": bridged_components,
+    "dag": lambda: build_graph(
+        ["a", "b", "c"], [("a", "b", "1"), ("a", "c", "2"), ("b", "c", "3")]
+    ),
+    "empty": lambda: build_graph([], []),
+}
+
+
+class TestCoreDeterminant:
+    @pytest.mark.parametrize("case", sorted(CORE_CASES))
+    def test_matches_dense_determinant(self, case):
+        g = CORE_CASES[case]()
+        z = zeta_of_graph(g)
+        assert z == dense_zeta(g)
+        # every n up to 12, plus lengths that close the cases' long cycles
+        ns = list(range(1, 13)) + [20, 28, 33, 40, 45, 61]
+        series = log_derivative_series(z, ns[-1])
+        assert [series[n - 1] for n in ns] == [trace_power(g, n) for n in ns]
+
+    def test_dag_and_empty_are_one(self):
+        for case in ("dag", "empty"):
+            z = zeta_of_graph(CORE_CASES[case]())
+            assert z.to_json() == {"num": [1], "den": [1]}
+
+    def test_cycle_is_one_minus_t_to_the_length(self):
+        z = zeta_of_graph(cycle_graph(40))
+        assert z.to_json() == {"num": [1], "den": [1] + [0] * 39 + [-1]}
+
+    def test_components_multiply(self):
+        z = zeta_of_graph(bridged_components())
+        assert z.den == IntPolynomial.make([1, 0, 0, -2]) * IntPolynomial.make(
+            [1, -1, 0, 0, 0, -1]
+        )
+        assert z.den == (
+            zeta_of_graph(build_graph(*doubled_triangle())).den
+            * zeta_of_graph(build_graph(*loop_and_five_cycle())).den
+        )
+
+
 class TestLogDerivative:
     def test_full_shift(self):
         z = RationalFunction.make([1], [1, -2])
@@ -144,6 +263,16 @@ class TestRecurrence:
         rec = recurrence_from_rational(f)
         assert rec.reproduces_initial()
         assert rec.terms(40) == f.series(41)
+
+    def test_p_sequence_skips_second_reduction(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            g = random_graph(rng, max_vertices=6, max_edges=12, horizon=8)
+            z = zeta_of_graph(g)
+            f = _log_derivative(z)
+            assert p_sequence_rational(z) == RationalFunction.make(
+                f.num.shift(1), f.den
+            )
 
     def test_reproduces_beyond_numerator_random(self):
         rng = random.Random(29)
