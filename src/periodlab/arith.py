@@ -11,6 +11,10 @@ from math import gcd, isqrt
 MOBIUS_CAP = 10**6
 
 
+class ResourceLimitExceeded(Exception):
+    """Raised when a computation would pass one of its named caps."""
+
+
 def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
@@ -35,7 +39,9 @@ def mobius(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     if n > MOBIUS_CAP:
-        raise ValueError(f"mobius horizon cap exceeded: {n} > {MOBIUS_CAP}")
+        raise ResourceLimitExceeded(
+            f"mobius horizon cap exceeded: {n} > {MOBIUS_CAP}"
+        )
     result = 1
     p = 2
     while p * p <= n:

@@ -11,7 +11,6 @@ comparison for every n (reported in the verdict detail).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from .arith import lcm
 from .graph_core import (
@@ -69,18 +68,6 @@ def _tail_is_cofinite(desc: PeriodSetDescriptor, scale: int = 1) -> bool:
     )
 
 
-def descriptor_gcd(desc: PeriodSetDescriptor) -> int:
-    g = 0
-    for n in desc.finite_part:
-        g = gcd(g, n)
-    for c in desc.components:
-        g = gcd(g, c.scale * c.threshold)
-        g = gcd(g, c.scale * (c.threshold + 1))
-        for e in c.extras:
-            g = gcd(g, c.scale * e)
-    return g
-
-
 # -- Table 1 shape predicates ---------------------------------------------------
 
 ROWS = ("mixing", "transitive", "general")
@@ -123,7 +110,7 @@ def matches_table_form(desc: PeriodSetDescriptor, cell: TableOneForm) -> bool:
     if desc.is_finite:
         return len(desc.finite_part) == 1
     if cell.column == "SFT":
-        return _tail_is_cofinite(desc, descriptor_gcd(desc))
+        return _tail_is_cofinite(desc, desc.gcd())
     return True
 
 

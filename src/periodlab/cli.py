@@ -1,7 +1,9 @@
 """Command-line front end: batch analysis, realization, and verification.
 
 Exit codes: 0 success, 2 parse error, 3 shape rejection, 4 oracle
-disagreement (always a bug, never swallowed), 5 resource limit exceeded.
+disagreement (always a bug, never swallowed), 5 resource limit exceeded
+(a named cap was hit, or a certified tail could not be established within
+the certification caps).
 Reports are deterministic given identical inputs and flags, except for the
 timing field.
 """
@@ -16,13 +18,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+from .arith import ResourceLimitExceeded
 from .classification import descriptor_equal, krieger_check
 from .gapshift import GapSet, classify_gap, gap_lps, gap_to_labeled_graph
-from .graph_core import (
-    DirectedMultigraph,
-    ResourceLimitExceeded,
-    enumerate_closed_paths,
-)
+from .graph_core import DirectedMultigraph, enumerate_closed_paths
 from .realize import (
     LpsRequest,
     ShapeError,
@@ -33,6 +32,7 @@ from .realize import (
     realize_sofic,
 )
 from .sft_counting import (
+    CertificationError,
     ForbiddenWordSpec,
     PeriodSetDescriptor,
     count_table,
@@ -64,7 +64,6 @@ class RunReport:
     command: str
     input_digest: str
     horizon: int
-    seed: int
     outputs: dict = field(default_factory=dict)
     oracle_agreement: dict = field(default_factory=dict)
     timing_ms: float = 0.0
@@ -74,7 +73,6 @@ class RunReport:
             "command": self.command,
             "input_digest": self.input_digest,
             "horizon": self.horizon,
-            "seed": self.seed,
             "outputs": self.outputs,
             "oracle_agreement": self.oracle_agreement,
             "timing_ms": self.timing_ms,
@@ -226,7 +224,7 @@ def _analyze_gap(s: GapSet, N: int, cap: int, report: RunReport):
 
 def cmd_analyze(args) -> RunReport:
     raw, data = _load_json(args.input)
-    report = RunReport("analyze", _digest(raw), args.horizon, args.seed)
+    report = RunReport("analyze", _digest(raw), args.horizon)
     kind = detect_kind(data)
     report.outputs["input_kind"] = kind
     cap = args.oracle_cap
@@ -262,7 +260,7 @@ def cmd_layers(args) -> RunReport:
     if detect_kind(data) != "labeled_graph":
         raise ParseFailure("layers needs a labeled-graph input")
     lg = _from_data(LabeledGraph.from_json, data)
-    report = RunReport("layers", _digest(raw), args.horizon, args.seed)
+    report = RunReport("layers", _digest(raw), args.horizon)
     dec = unique_preimage_lps(lg, args.horizon)
     res = sofic_lps_upto(lg, args.horizon)
     report.outputs["layers"] = [
@@ -283,7 +281,7 @@ def cmd_realize(args) -> RunReport:
     if detect_kind(data) != "descriptor":
         raise ParseFailure("realize needs a descriptor input")
     desc = _from_data(PeriodSetDescriptor.from_json, data)
-    report = RunReport("realize", _digest(raw), args.horizon, args.seed)
+    report = RunReport("realize", _digest(raw), args.horizon)
     request = LpsRequest(desc, args.target)
     request.validate()
     artifact: dict
@@ -351,9 +349,7 @@ def cmd_embed_check(args) -> RunReport:
         raise ParseFailure("embed-check needs two graph inputs")
     gx = _from_data(DirectedMultigraph.from_json, data_x)
     gy = _from_data(DirectedMultigraph.from_json, data_y)
-    report = RunReport(
-        "embed-check", _digest(raw_x + raw_y), args.horizon, args.seed
-    )
+    report = RunReport("embed-check", _digest(raw_x + raw_y), args.horizon)
     try:
         verdict = krieger_check(gx, gy, args.horizon)
     except ValueError as exc:
@@ -376,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("json", "csv", "dot"), default="json"
         )
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--oracle-cap",
             type=int,
@@ -430,7 +425,7 @@ def main(argv=None) -> int:
     except OracleDisagreement as exc:
         print(json.dumps({"error": "oracle_disagreement", "detail": str(exc)}))
         return EXIT_ORACLE
-    except ResourceLimitExceeded as exc:
+    except (ResourceLimitExceeded, CertificationError) as exc:
         print(json.dumps({"error": "resource_limit", "detail": str(exc)}))
         return EXIT_RESOURCE
     report.timing_ms = round((time.monotonic() - start) * 1000.0, 3)

@@ -316,7 +316,7 @@ def gap_realize(q: PeriodSetDescriptor) -> GapSet:
             f"set is not almost sum-closed: {witness[0]} + {witness[1]} missing",
             witness=witness,
         )
-    d = descriptor_gcd_members(body)
+    d = body.gcd()
     bound = body.structural_bound()
     limit = bound + body.tail_lcm()
     if any(
@@ -337,16 +337,6 @@ def gap_realize(q: PeriodSetDescriptor) -> GapSet:
     F = [m for m in body.members_upto(onset - 1)]
     B = list(range(d * N, 2 * d * N + 1, d))
     return GapSet.make([v - 1 for v in sorted(set(F + B))], ())
-
-
-def descriptor_gcd_members(desc: PeriodSetDescriptor) -> int:
-    g = 0
-    for n in desc.finite_part:
-        g = gcd(g, n)
-    for c in desc.components:
-        g = gcd(g, c.scale * c.threshold)
-        g = gcd(g, c.scale * (c.threshold + 1))
-    return g
 
 
 def _closure_witness(desc: PeriodSetDescriptor):

@@ -18,13 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .arith import word_least_period
+from .arith import ResourceLimitExceeded, word_least_period
 
 DEFAULT_PATH_BUDGET = 2_000_000
-
-
-class ResourceLimitExceeded(Exception):
-    """Raised when a brute-force sweep would exceed its configured budget."""
 
 
 @dataclass(frozen=True)

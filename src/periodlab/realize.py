@@ -14,7 +14,6 @@ computable surface: generator words, periodic points, word membership).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .arith import lcm, least_rotation_period
 from .graph_core import DirectedMultigraph, disjoint_union, subdivide_edges
@@ -60,12 +59,7 @@ def sft_shape(desc: PeriodSetDescriptor):
         if len(desc.finite_part) == 1:
             return ("singleton", min(desc.finite_part))
         return None
-    g = 0
-    for n in desc.finite_part:
-        g = gcd(g, n)
-    for c in desc.components:
-        g = gcd(g, c.scale * c.threshold)
-        g = gcd(g, c.scale * (c.threshold + 1))
+    g = desc.gcd()
     bound = desc.structural_bound()
     period = desc.tail_lcm()
     limit = bound + period

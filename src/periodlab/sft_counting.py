@@ -11,6 +11,7 @@ threshold is decided by exact sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .arith import divisors, iroot, lcm, mobius
 from .graph_core import (
@@ -232,6 +233,20 @@ class PeriodSetDescriptor:
         for c in self.components:
             out = lcm(out, c.scale)
         return out
+
+    def gcd(self) -> int:
+        """gcd of all members (0 for the empty set): a component's members
+        d*t, d*(t+1), ... contribute d*t and d*(t+1), which generate the
+        rest."""
+        g = 0
+        for n in self.finite_part:
+            g = gcd(g, n)
+        for c in self.components:
+            g = gcd(g, c.scale * c.threshold)
+            g = gcd(g, c.scale * (c.threshold + 1))
+            for e in c.extras:
+                g = gcd(g, c.scale * e)
+        return g
 
     def to_json(self) -> dict:
         return {

@@ -1,18 +1,24 @@
 """Labeled-graph presentations of sofic shifts.
 
-Covers periodic-point enumeration by cycle labels, subset-construction
-determinization with follower-set minimization (Fischer cover for
-irreducible shifts), synchronizing words, receptive periodic points, and
-the layer graphs that realize the unique-preimage decomposition of the
-least-period set.
+Covers exact periodic-point counts and least-period sets by transition
+relation classes, subset-construction determinization with follower-set
+minimization (Fischer cover for irreducible shifts), synchronizing words,
+receptive periodic points, and the layer graphs that realize the
+unique-preimage decomposition of the least-period set.
 
 A periodic point of the presented shift is the bi-infinite repetition of a
 word w; it belongs to the shift iff the transition relation of w has a
-cycle. Two presentations of the same point are *mutually separated* when
-they occupy distinct vertices at every time; the layer-i graph tracks
-i-sets of vertices joined by injective label-respecting matchings, so a
-point has >= i mutually separated presentations exactly when some layer-i
-walk carries its label.
+cycle. Words of one length are grouped by relation, so period counts, and
+through Möbius inversion the least-period set, come from one pass over the
+relation classes, which also supplies the witness words. Two presentations
+of the same point are *mutually separated* when they occupy distinct
+vertices at every time; the layer-i graph tracks i-sets of vertices joined
+by injective label-respecting matchings, so a point has >= i mutually
+separated presentations exactly when some layer-i walk carries its label.
+
+The relation-class pass, the exact-length word search and the layer
+analysis are bounded by the module constants below; passing one raises
+:class:`ResourceLimitExceeded`.
 """
 
 from __future__ import annotations
@@ -21,17 +27,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
-from .arith import least_rotation_period, min_rotation
-from .graph_core import (
-    DirectedMultigraph,
-    ResourceLimitExceeded,
-    closed_walk_counts,
-    enumerate_closed_paths,
-    essential_subgraph,
-    scc_decompose,
-)
+from .arith import ResourceLimitExceeded, least_rotation_period, min_rotation
+from .graph_core import DirectedMultigraph, essential_subgraph, scc_decompose
 
-DEFAULT_WORD_BUDGET = 5_000_000
+RELATION_CLASS_CAP = 200_000  # relation classes of one word length
+WORD_BUDGET = 5_000_000  # relation steps of one exact-length word search
+LAYER_MAX_STATES = 12  # presentation states the layer analysis accepts
 
 
 def as_word(w) -> tuple:
@@ -176,9 +177,10 @@ def periodic_point_in_shift(lg: LabeledGraph, w) -> bool:
     return relation_has_cycle(rel)
 
 
-def _periodic_words_exact_length(lg: LabeledGraph, n: int, budget=None):
+def _periodic_words_exact_length(lg: LabeledGraph, n: int):
     """All words w of length n (in DFS order over the sorted alphabet) whose
-    bi-infinite repetition lies in the shift; yields (word, relation)."""
+    bi-infinite repetition lies in the shift; yields (word, relation).
+    Spends at most WORD_BUDGET relation steps."""
     steps = lg.steps
     nv = lg.graph.n
     if nv == 0:
@@ -195,19 +197,20 @@ def _periodic_words_exact_length(lg: LabeledGraph, n: int, budget=None):
         for a in reversed(alphabet):
             nxt = relation_step(rel, steps[a])
             spent += 1
-            if budget is not None and spent > budget:
+            if spent > WORD_BUDGET:
                 raise ResourceLimitExceeded("periodic word sweep budget exceeded")
             if nxt:
                 stack.append((w + (a,), nxt))
 
 
-def sofic_period_counts(lg: LabeledGraph, N: int, class_cap: int = 200_000):
+def sofic_period_counts(lg: LabeledGraph, N: int):
     """Exact point counts p_n of the presented sofic shift for n <= N, with
     a witness word for every least rotation period seen along the way.
 
     Words of each length are grouped by their transition relation (counts
-    add, one representative word is kept), so the sweep is exponential only
-    in the relation-class structure, not in the word count.
+    add, one representative word is kept), so the pass is exponential only
+    in the relation-class structure, not in the word count. More than
+    RELATION_CLASS_CAP classes at one length is a resource limit.
     """
     nv = lg.graph.n
     steps = lg.steps
@@ -231,7 +234,7 @@ def sofic_period_counts(lg: LabeledGraph, N: int, class_cap: int = 200_000):
                 else:
                     slot[0] += cnt
         level = nxt
-        if len(level) > class_cap:
+        if len(level) > RELATION_CLASS_CAP:
             raise ResourceLimitExceeded("relation-class cap exceeded")
         total = 0
         for rel, (cnt, rep) in level.items():
@@ -263,45 +266,22 @@ class SoficLpsResult:
         return [{"period": p, "word": w} for (p, w) in self.witnesses]
 
 
-def sofic_lps_upto(
-    lg: LabeledGraph, N: int, max_paths: int = 200_000
-) -> SoficLpsResult:
+def sofic_lps_upto(lg: LabeledGraph, N: int) -> SoficLpsResult:
     """LPS of the presented sofic shift, exactly, on [1, N].
 
-    Closed paths up to a budgeted length are swept and the least rotation
-    period of each label recorded; since a point's shortest presentation
-    can be several phases longer than its period, the support is then
-    settled exactly by counting period-n points per transition-relation
-    class and Möbius-inverting to least-period counts. Witnesses come from
-    the sweeps, with a targeted word search as a last resort.
+    Period-n points are counted per transition-relation class (see
+    :func:`sofic_period_counts`) and Möbius-inverted to least-period
+    counts, which settles the support exactly, including points whose
+    shortest presentation is several phases longer than their period.
+    Witnesses are the class representatives; a period that no
+    representative carries gets one from a targeted search over words of
+    exactly that length.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     from .sft_counting import mobius_invert
 
-    lm = lg.label_map
-    found: dict = {}
-    totals = closed_walk_counts(lg.graph, N)
-    sweep_n, acc = 0, 0
-    for n in range(1, N + 1):
-        acc += totals[n - 1]
-        if acc > max_paths:
-            break
-        sweep_n = n  # the counting pass below keeps the result exact anyway
-    paths = (
-        enumerate_closed_paths(lg.graph, sweep_n, max_total=2 * max_paths)
-        if sweep_n >= 1
-        else {}
-    )
-    for n in range(1, sweep_n + 1):
-        for cyc in paths[n]:
-            label = tuple(lm[e] for e in cyc.edge_ids)
-            rho = least_rotation_period(label)
-            if rho not in found:
-                found[rho] = word_str(min_rotation(label[:rho]))
-    p, class_witnesses = sofic_period_counts(lg, N)
-    for rho, w in class_witnesses.items():
-        found.setdefault(rho, w)
+    p, found = sofic_period_counts(lg, N)
     support = {
         n for n, qn in enumerate(mobius_invert(p), start=1) if qn > 0
     }
@@ -310,7 +290,7 @@ def sofic_lps_upto(
     for n in sorted(support):
         if n in found:
             continue
-        for w, _rel in _periodic_words_exact_length(lg, n, budget=DEFAULT_WORD_BUDGET):
+        for w, _rel in _periodic_words_exact_length(lg, n):
             if least_rotation_period(w) == n:
                 found[n] = word_str(min_rotation(w))
                 break
@@ -741,23 +721,20 @@ class LayerDecomposition:
         ]
 
 
-def unique_preimage_lps(
-    lg: LabeledGraph, N: int, budget: int = DEFAULT_WORD_BUDGET,
-    max_states: int = 12,
-) -> LayerDecomposition:
+def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
     """Classify every least period n <= N by the exact number of mutually
     separated presentations of a witnessing point and the layer component
     presenting it; the union over retained (layer, component) pairs is the
     full LPS on [1, N].
 
     Layer vertices are subsets of the presentation's states, so this is a
-    desk-scale analysis; presentations beyond ``max_states`` states are
+    desk-scale analysis; presentations beyond LAYER_MAX_STATES states are
     refused as a resource limit.
     """
     nv = lg.graph.n
-    if nv > max_states:
+    if nv > LAYER_MAX_STATES:
         raise ResourceLimitExceeded(
-            f"layer analysis needs <= {max_states} states, got {nv}"
+            f"layer analysis needs <= {LAYER_MAX_STATES} states, got {nv}"
         )
     layer_objs = {}
     layer_sccs = {}
@@ -783,7 +760,7 @@ def unique_preimage_lps(
     supports: dict = {}
     witnesses = []
     for n in range(1, N + 1):
-        for w, rel1 in _periodic_words_exact_length(lg, n, budget=budget):
+        for w, rel1 in _periodic_words_exact_length(lg, n):
             if least_rotation_period(w) != n:
                 continue
             if min_rotation(w) != w:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from periodlab.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -311,3 +313,57 @@ class TestEnvironment:
         )
         assert code == EXIT_RESOURCE
         assert payload["error"] == "resource_limit"
+
+
+class TestResourceLimits:
+    def test_certification_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        from periodlab import cli
+        from periodlab.sft_counting import CertificationError
+
+        def refuse(g):
+            raise CertificationError("threshold search exceeded cap")
+
+        monkeypatch.setattr(cli, "lps_descriptor_sft", refuse)
+        path = write(tmp_path, "gm.json", GOLDEN)
+        code, payload = run(capsys, ["analyze", "--input", path, "--horizon", "6"])
+        assert code == cli.EXIT_RESOURCE
+        assert payload == {
+            "error": "resource_limit",
+            "detail": "threshold search exceeded cap",
+        }
+
+    def test_mobius_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        from periodlab import arith
+        from periodlab.cli import EXIT_RESOURCE
+
+        monkeypatch.setattr(arith, "MOBIUS_CAP", 5)
+        path = write(tmp_path, "gm.json", GOLDEN)
+        code, payload = run(capsys, ["analyze", "--input", path, "--horizon", "8"])
+        assert code == EXIT_RESOURCE
+        assert payload["error"] == "resource_limit"
+        assert "mobius" in payload["detail"]
+
+    def test_layer_max_states_exit_code(self, tmp_path, capsys):
+        from periodlab.cli import EXIT_RESOURCE
+        from periodlab.sofic import LAYER_MAX_STATES
+
+        n = LAYER_MAX_STATES + 1
+        ring = {
+            "vertices": [f"r{i}" for i in range(n)],
+            "edges": [
+                {"id": f"e{i}", "from": f"r{i}", "to": f"r{(i + 1) % n}", "label": "0"}
+                for i in range(n)
+            ],
+        }
+        path = write(tmp_path, "ring.json", ring)
+        code, payload = run(capsys, ["layers", "--input", path, "--horizon", "4"])
+        assert code == EXIT_RESOURCE
+        assert payload["error"] == "resource_limit"
+        assert f"<= {LAYER_MAX_STATES} states, got {n}" in payload["detail"]
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        path = write(tmp_path, "gm.json", GOLDEN)
+        code, report = run(capsys, ["analyze", "--input", path, "--horizon", "4"])
+        assert code == EXIT_OK and "seed" not in report
+        with pytest.raises(SystemExit):
+            main(["analyze", "--input", path, "--seed", "1"])

@@ -163,6 +163,23 @@ class TestDescriptorCanonical:
         d = PeriodSetDescriptor.make({5}, [(3, 2, ())], certified=True)
         assert PeriodSetDescriptor.from_json(d.to_json()) == d
 
+    def test_gcd_of_members(self):
+        from math import gcd
+
+        assert PeriodSetDescriptor.empty().gcd() == 0
+        rng = random.Random(83)
+        for _ in range(200):
+            comps = [
+                (rng.randint(1, 6), rng.randint(1, 5), ())
+                for _ in range(rng.randint(0, 2))
+            ]
+            finite = rng.sample(range(1, 40), rng.randint(0, 3))
+            d = PeriodSetDescriptor.make(finite, comps)
+            expect = 0
+            for n in d.members_upto(d.structural_bound() + 2 * d.tail_lcm() + 1):
+                expect = gcd(expect, n)
+            assert d.gcd() == expect, d.to_json()
+
     @given(
         st.integers(min_value=1, max_value=5),
         st.integers(min_value=1, max_value=5),

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
-from periodlab.arith import least_rotation_period
+from periodlab import sofic
+from periodlab.arith import ResourceLimitExceeded, least_rotation_period
 from periodlab.graph_core import scc_decompose
+from periodlab.realize import realize_sofic
+from periodlab.sft_counting import PeriodSetDescriptor
 from periodlab.sofic import (
     DeterministicPresentation,
     determinize_and_minimize,
@@ -18,6 +21,32 @@ from periodlab.sofic import (
 )
 
 from conftest import build_labeled, random_labeled
+
+
+def multi_phase_100100():
+    """Doubled 3-cycle labeled by a repeated primitive word: the point has
+    least period 3 but its only presentation is the 6-cycle."""
+    word = "100100"
+    return build_labeled(
+        [f"u{i}" for i in range(6)],
+        [(f"u{i}", f"u{(i + 1) % 6}", f"e{i}", word[i]) for i in range(6)],
+    )
+
+
+def layered_dag(layers=9, width=8):
+    """An a-loop at s, then s -> `layers` layers of `width` vertices, each
+    fully joined to the next by b-edges: one closed walk per length, but
+    exponentially many open ones."""
+    verts = ["s"] + [f"L{i}.{j}" for i in range(layers) for j in range(width)]
+    edges = [("s", "s", "loop", "a")]
+    edges += [("s", f"L0.{j}", f"in.{j}", "b") for j in range(width)]
+    edges += [
+        (f"L{i}.{j}", f"L{i + 1}.{k}", f"b{i}.{j}.{k}", "b")
+        for i in range(layers - 1)
+        for j in range(width)
+        for k in range(width)
+    ]
+    return build_labeled(verts, edges)
 
 
 class TestSoficLps:
@@ -47,24 +76,57 @@ class TestSoficLps:
                     direct += 1
             assert p[n - 1] == direct
 
-    def test_witnesses_are_points(self, even_shift):
-        res = sofic_lps_upto(even_shift, 6)
-        for period, w in res.witnesses:
-            assert periodic_point_in_shift(even_shift, w)
-            assert least_rotation_period(w) == period
+    def test_witnesses_are_points(self, even_shift, full_shift_cover):
+        rng = random.Random(71)
+        cases = [(even_shift, 6), (full_shift_cover, 8), (multi_phase_100100(), 12)]
+        cases += [(random_labeled(rng, max_states=4), 12) for _ in range(15)]
+        for desc in (
+            PeriodSetDescriptor.singleton(4),
+            PeriodSetDescriptor.make((), [(2, 3, ())], certified=True),
+            PeriodSetDescriptor.make({1}, [(3, 2, ())], certified=True),
+        ):
+            cases.append((realize_sofic(desc), 20))
+        for lg, N in cases:
+            res = sofic_lps_upto(lg, N)
+            assert res.support, lg.to_json()
+            for period, w in res.witnesses:
+                assert len(w) == period
+                assert least_rotation_period(w) == period
+                assert periodic_point_in_shift(lg, w)
 
     def test_multi_phase_point_found(self):
-        # doubled 3-cycle labeled by a repeated primitive word: the point
-        # has least period 3 but its only presentation is the 6-cycle
-        word = "100100"
-        lg = build_labeled(
-            [f"u{i}" for i in range(6)],
-            [
-                (f"u{i}", f"u{(i + 1) % 6}", f"e{i}", word[i])
-                for i in range(6)
-            ],
-        )
-        assert sofic_lps_upto(lg, 4).support == frozenset({3})
+        res = sofic_lps_upto(multi_phase_100100(), 4)
+        assert res.support == frozenset({3})
+        assert res.witnesses == ((3, "001"),)
+
+    def test_layered_dag_has_one_fixed_point(self):
+        # the open b-walks through the layers number 8^9, but no closed
+        # walk uses them, so only the a-loop's fixed point is periodic
+        res = sofic_lps_upto(layered_dag(), 12)
+        assert res.witnesses == ((1, "a"),)
+
+
+class TestSoficCaps:
+    def test_relation_class_cap(self, even_shift, monkeypatch):
+        # the even shift has two relation classes at length 1
+        monkeypatch.setattr(sofic, "RELATION_CLASS_CAP", 1)
+        with pytest.raises(ResourceLimitExceeded, match="relation-class"):
+            sofic_period_counts(even_shift, 4)
+        with pytest.raises(ResourceLimitExceeded, match="relation-class"):
+            sofic_lps_upto(even_shift, 4)
+
+    def test_word_budget_in_witness_search(self, full_shift_cover, monkeypatch):
+        # one vertex: every word of a length shares one relation class whose
+        # representative is 0^n, so periods >= 2 need the targeted search
+        assert sofic_lps_upto(full_shift_cover, 8).support == frozenset(range(1, 9))
+        monkeypatch.setattr(sofic, "WORD_BUDGET", 10)
+        with pytest.raises(ResourceLimitExceeded, match="word sweep"):
+            sofic_lps_upto(full_shift_cover, 8)
+
+    def test_word_budget_in_layers(self, even_shift, monkeypatch):
+        monkeypatch.setattr(sofic, "WORD_BUDGET", 10)
+        with pytest.raises(ResourceLimitExceeded, match="word sweep"):
+            unique_preimage_lps(even_shift, 6)
 
 
 class TestDeterminize:
