@@ -80,16 +80,26 @@ def iroot(x: int, k: int) -> int:
 
 
 def word_least_period(w) -> int:
-    """Least p such that w is a repetition of its length-p prefix (p | len(w))."""
+    """Least p such that w is a repetition of its length-p prefix (p | len(w)).
+
+    The KMP prefix function gives the longest proper border b of w, so
+    n - b is the least period of w as a string; w is a repetition of its
+    prefix of that length when it divides n, and primitive otherwise.
+    """
     n = len(w)
     if n == 0:
         raise ValueError("empty word")
-    for p in divisors(n):
-        if p == n:
-            break
-        if all(w[i] == w[i % p] for i in range(n)):
-            return p
-    return n
+    border = [0] * n
+    k = 0
+    for i in range(1, n):
+        c = w[i]
+        while k and c != w[k]:
+            k = border[k - 1]
+        if c == w[k]:
+            k += 1
+        border[i] = k
+    p = n - k
+    return p if n % p == 0 else n
 
 
 def least_rotation_period(w) -> int:

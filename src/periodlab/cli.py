@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 parse error, 3 shape rejection, 4 oracle
 disagreement (always a bug, never swallowed), 5 resource limit exceeded
 (a named cap was hit, or a certified tail could not be established within
-the certification caps).
+the certification caps), 6 internal error (any other exception; a bug).
 Reports are deterministic given identical inputs and flags, except for the
 timing field.
 """
@@ -47,6 +47,7 @@ EXIT_PARSE = 2
 EXIT_SHAPE = 3
 EXIT_ORACLE = 4
 EXIT_RESOURCE = 5
+EXIT_INTERNAL = 6
 
 DEFAULT_ORACLE_CAP = 20
 
@@ -428,6 +429,10 @@ def main(argv=None) -> int:
     except (ResourceLimitExceeded, CertificationError) as exc:
         print(json.dumps({"error": "resource_limit", "detail": str(exc)}))
         return EXIT_RESOURCE
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": "internal", "detail": detail}))
+        return EXIT_INTERNAL
     report.timing_ms = round((time.monotonic() - start) * 1000.0, 3)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return EXIT_OK

@@ -8,17 +8,22 @@ unique-preimage decomposition of the least-period set.
 
 A periodic point of the presented shift is the bi-infinite repetition of a
 word w; it belongs to the shift iff the transition relation of w has a
-cycle. Words of one length are grouped by relation, so period counts, and
-through Möbius inversion the least-period set, come from one pass over the
-relation classes, which also supplies the witness words. Two presentations
-of the same point are *mutually separated* when they occupy distinct
-vertices at every time; the layer-i graph tracks i-sets of vertices joined
-by injective label-respecting matchings, so a point has >= i mutually
-separated presentations exactly when some layer-i walk carries its label.
+cycle. A relation is stored as one int bitmask row per source vertex (bit y
+of v's row: a w-labeled path v -> y), so a step is an OR of per-symbol
+successor masks and the cycle test peels a mask. Words of one length are
+grouped by relation, so period counts, and through Möbius inversion the
+least-period set, come from one pass over the relation classes, which also
+supplies the witness words. Periods no class representative carries, and
+the layer analysis, walk the Lyndon words of the shift (one per periodic
+orbit) in a single depth-first search. Two presentations of the same point
+are *mutually separated* when they occupy distinct vertices at every time;
+the layer-i graph tracks i-sets of vertices joined by injective
+label-respecting matchings, so a point has >= i mutually separated
+presentations exactly when some layer-i walk carries its label.
 
-The relation-class pass, the exact-length word search and the layer
-analysis are bounded by the module constants below; passing one raises
-:class:`ResourceLimitExceeded`.
+The relation-class pass, the Lyndon-word search, the layer analysis, the
+language-inclusion check and the transition-monoid count are bounded by the
+module constants below; passing one raises :class:`ResourceLimitExceeded`.
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ from .arith import ResourceLimitExceeded, least_rotation_period, min_rotation
 from .graph_core import DirectedMultigraph, essential_subgraph, scc_decompose
 
 RELATION_CLASS_CAP = 200_000  # relation classes of one word length
-WORD_BUDGET = 5_000_000  # relation steps of one exact-length word search
+WORD_BUDGET = 5_000_000  # relation steps of one Lyndon-word search
 LAYER_MAX_STATES = 12  # presentation states the layer analysis accepts
+INCLUSION_PAIR_CAP = 200_000  # (state, state set) pairs of the inclusion check
+MONOID_CAP = 200_000  # transition-monoid elements of one word length
 
 
 def as_word(w) -> tuple:
@@ -68,17 +75,15 @@ class LabeledGraph:
         return tuple(sorted({s for (_, s) in self.labels}))
 
     @cached_property
-    def steps(self) -> dict:
-        """Per symbol: sparse map vertex index -> frozenset of target indices."""
+    def step_masks(self) -> dict:
+        """Per symbol: tuple indexed by vertex of successor bitmasks (bit y
+        set when an edge with that symbol leads to vertex index y)."""
         idx = self.graph.index
-        acc: dict = {a: {} for a in self.alphabet}
+        acc = {a: [0] * self.graph.n for a in self.alphabet}
         lm = self.label_map
         for src, dst, eid in self.graph.edges:
-            acc[lm[eid]].setdefault(idx[src], set()).add(idx[dst])
-        return {
-            a: {v: frozenset(t) for v, t in rows.items()}
-            for a, rows in acc.items()
-        }
+            acc[lm[eid]][idx[src]] |= 1 << idx[dst]
+        return {a: tuple(row) for a, row in acc.items()}
 
     def essential(self) -> "LabeledGraph":
         g = essential_subgraph(self.graph)
@@ -116,56 +121,69 @@ class LabeledGraph:
 
 # -- transition relations ------------------------------------------------------
 #
-# The relation of a word w is the set of pairs (v, v'): there is a w-labeled
-# path from v to v'. The bi-infinite repetition of w lies in the shift
-# exactly when this relation, viewed as a digraph, has a cycle.
+# The relation of a word w is a tuple of (v, row) pairs, one per source vertex
+# v with a nonempty row, in ascending v; bit y of the int ``row`` is set when
+# there is a w-labeled path from v to y. Equal relations are equal tuples, so
+# relations key dicts directly. Appending a symbol ORs that symbol's successor
+# masks over the set bits of each row. The bi-infinite repetition of w lies in
+# the shift exactly when the relation, viewed as a digraph, has a cycle.
 
 
-def relation_identity(n: int) -> frozenset:
-    return frozenset((v, v) for v in range(n))
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def relation_step(rel: frozenset, step: dict) -> frozenset:
-    out = set()
-    for v, x in rel:
-        nxt = step.get(x)
-        if nxt:
-            for y in nxt:
-                out.add((v, y))
-    return frozenset(out)
+def relation_identity(n: int) -> tuple:
+    return tuple((v, 1 << v) for v in range(n))
 
 
-def relation_has_cycle(rel: frozenset) -> bool:
-    """Does the relation digraph contain a cycle?"""
-    succ: dict = {}
-    for v, y in rel:
-        succ.setdefault(v, set()).add(y)
-    alive = set(succ)
-    changed = True
-    while changed and alive:
-        changed = False
-        preds = set()
-        for v in list(alive):
-            nxt = succ[v] & alive
-            if not nxt:
-                alive.discard(v)
-                changed = True
-            else:
-                preds |= nxt
-        for v in list(alive):
-            if v not in preds:
-                alive.discard(v)
-                changed = True
-    return bool(alive)
+def relation_step(rel: tuple, succ: tuple) -> tuple:
+    """Relation of w·a from that of w; ``succ[x]`` is the successor mask of
+    vertex x on the symbol a."""
+    out = []
+    for v, row in rel:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= succ[low.bit_length() - 1]
+            row ^= low
+        if acc:
+            out.append((v, acc))
+    return tuple(out)
 
 
-def word_relation(lg_steps: dict, n_vertices: int, w) -> frozenset:
+def relation_has_cycle(rel: tuple) -> bool:
+    """Does the relation digraph contain a cycle?  Peels vertices without an
+    alive successor or an alive predecessor until nothing changes."""
+    alive = 0
+    for v, _row in rel:
+        alive |= 1 << v
+    while alive:
+        keep = hit = 0
+        for v, row in rel:
+            if alive >> v & 1:
+                row &= alive
+                if row:
+                    keep |= 1 << v
+                    hit |= row
+        keep &= hit
+        if keep == alive:
+            return True
+        alive = keep
+    return False
+
+
+def word_relation(masks: dict, n_vertices: int, w) -> tuple:
     rel = relation_identity(n_vertices)
     for a in w:
-        step = lg_steps.get(a)
-        if step is None:
-            return frozenset()
-        rel = relation_step(rel, step)
+        succ = masks.get(a)
+        if succ is None:
+            return ()
+        rel = relation_step(rel, succ)
         if not rel:
             break
     return rel
@@ -173,34 +191,49 @@ def word_relation(lg_steps: dict, n_vertices: int, w) -> frozenset:
 
 def periodic_point_in_shift(lg: LabeledGraph, w) -> bool:
     """Is the bi-infinite repetition of w a point of the presented shift?"""
-    rel = word_relation(lg.steps, lg.graph.n, as_word(w))
+    rel = word_relation(lg.step_masks, lg.graph.n, as_word(w))
     return relation_has_cycle(rel)
 
 
-def _periodic_words_exact_length(lg: LabeledGraph, n: int):
-    """All words w of length n (in DFS order over the sorted alphabet) whose
-    bi-infinite repetition lies in the shift; yields (word, relation).
-    Spends at most WORD_BUDGET relation steps."""
-    steps = lg.steps
+def _lyndon_words_in_shift(lg: LabeledGraph, N: int):
+    """Every Lyndon word w of length <= N whose bi-infinite repetition lies
+    in the shift, in lexicographic order over the sorted alphabet; yields
+    (w, relation of w).
+
+    A Lyndon word is primitive and strictly smaller than its other
+    rotations, so these are exactly the least-rotation representatives of
+    the periodic points with least period <= N. The depth-first search
+    extends prenecklaces only (FKM rule: with p the length of the longest
+    Lyndon prefix of w, the next symbol is at least w[len(w) - p]; w is
+    Lyndon when p = len(w)) and prunes a word whose relation is empty.
+    Spends at most WORD_BUDGET relation steps.
+    """
     nv = lg.graph.n
-    if nv == 0:
+    if nv == 0 or N < 1:
         return
+    masks = lg.step_masks
     alphabet = lg.alphabet
+    succs = [masks[a] for a in alphabet]
     spent = 0
-    stack = [((), relation_identity(nv))]
+    # (word as symbol indices, longest Lyndon prefix length, relation)
+    stack = [((), 1, relation_identity(nv))]
     while stack:
-        w, rel = stack.pop()
-        if len(w) == n:
-            if relation_has_cycle(rel):
-                yield w, rel
+        w, p, rel = stack.pop()
+        t = len(w)
+        if t and p == t and relation_has_cycle(rel):
+            yield tuple(alphabet[i] for i in w), rel
+        if t == N:
             continue
-        for a in reversed(alphabet):
-            nxt = relation_step(rel, steps[a])
+        low = w[t - p] if t else 0
+        children = []
+        for i in range(low, len(alphabet)):
             spent += 1
             if spent > WORD_BUDGET:
                 raise ResourceLimitExceeded("periodic word sweep budget exceeded")
+            nxt = relation_step(rel, succs[i])
             if nxt:
-                stack.append((w + (a,), nxt))
+                children.append((w + (i,), p if i == low else t + 1, nxt))
+        stack.extend(reversed(children))
 
 
 def sofic_period_counts(lg: LabeledGraph, N: int):
@@ -213,7 +246,7 @@ def sofic_period_counts(lg: LabeledGraph, N: int):
     RELATION_CLASS_CAP classes at one length is a resource limit.
     """
     nv = lg.graph.n
-    steps = lg.steps
+    masks = lg.step_masks
     alphabet = lg.alphabet
     p = [0] * N
     witnesses: dict = {}
@@ -225,7 +258,7 @@ def sofic_period_counts(lg: LabeledGraph, N: int):
         nxt: dict = {}
         for rel, (cnt, rep) in level.items():
             for a in alphabet:
-                r2 = relation_step(rel, steps[a])
+                r2 = relation_step(rel, masks[a])
                 if not r2:
                     continue
                 slot = nxt.get(r2)
@@ -274,8 +307,8 @@ def sofic_lps_upto(lg: LabeledGraph, N: int) -> SoficLpsResult:
     counts, which settles the support exactly, including points whose
     shortest presentation is several phases longer than their period.
     Witnesses are the class representatives; a period that no
-    representative carries gets one from a targeted search over words of
-    exactly that length.
+    representative carries gets the lexicographically first Lyndon word of
+    that length whose point lies in the shift.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -287,13 +320,14 @@ def sofic_lps_upto(lg: LabeledGraph, N: int) -> SoficLpsResult:
     }
     if set(found) - support:
         raise AssertionError("witnessed period missing from exact count")
-    for n in sorted(support):
-        if n in found:
-            continue
-        for w, _rel in _periodic_words_exact_length(lg, n):
-            if least_rotation_period(w) == n:
-                found[n] = word_str(min_rotation(w))
-                break
+    missing = support - set(found)
+    if missing:
+        for w, _rel in _lyndon_words_in_shift(lg, max(missing)):
+            if len(w) in missing:
+                missing.discard(len(w))
+                found[len(w)] = word_str(w)
+                if not missing:
+                    break
     return SoficLpsResult(
         N, tuple((n, found[n]) for n in sorted(support))
     )
@@ -350,7 +384,7 @@ class DeterministicPresentation:
 def _subset_automaton(lg: LabeledGraph):
     """Subset construction seeded at the full vertex set: states are
     frozensets of vertices, transitions per symbol by the union step."""
-    steps = lg.steps
+    masks = lg.step_masks
     nv = lg.graph.n
     full = frozenset(range(nv))
     if nv == 0:
@@ -361,10 +395,11 @@ def _subset_automaton(lg: LabeledGraph):
     while stack:
         cur = stack.pop()
         for a in lg.alphabet:
-            acc = set()
+            succ = masks[a]
+            acc = 0
             for v in cur:
-                acc |= steps[a].get(v, frozenset())
-            nxt = frozenset(acc)
+                acc |= succ[v]
+            nxt = frozenset(_bits(acc))
             if nxt:
                 trans[(cur, a)] = nxt
                 if nxt not in seen:
@@ -433,7 +468,7 @@ def _language_covered_by(states, trans, alphabet, comp):
         if (q, s) in seen:
             continue
         seen.add((q, s))
-        if len(seen) > 200_000:
+        if len(seen) > INCLUSION_PAIR_CAP:
             raise ResourceLimitExceeded("language inclusion check too large")
         for a in alphabet:
             qn = trans.get((q, a))
@@ -607,7 +642,7 @@ def receptive_lps_upto(dp: DeterministicPresentation, N: int) -> frozenset:
             for a, g in sym_maps.items():
                 h = _compose_maps(f, g)
                 cur[h] = cur.get(h, 0) + c
-        if len(cur) > 200_000:
+        if len(cur) > MONOID_CAP:
             raise ResourceLimitExceeded("transition monoid too large")
         counts[n] = cur
     prim: list = [None] * (N + 1)
@@ -673,16 +708,16 @@ def layer_graph(lg: LabeledGraph, i: int) -> LayerGraph:
     idx = lg.graph.index
     subsets = list(combinations(sorted(verts), i))
     name = {s: "{" + ",".join(s) + "}" for s in subsets}
-    steps = lg.steps
+    masks = lg.step_masks
     edges, labels = [], {}
     for a in lg.alphabet:
-        step = steps[a]
+        succ = masks[a]
         for U, V in product(subsets, subsets):
             adj = [
                 [
                     j
                     for j, v in enumerate(V)
-                    if idx[v] in step.get(idx[u], frozenset())
+                    if succ[idx[u]] >> idx[v] & 1
                 ]
                 for u in U
             ]
@@ -736,52 +771,34 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
         raise ResourceLimitExceeded(
             f"layer analysis needs <= {LAYER_MAX_STATES} states, got {nv}"
         )
-    layer_objs = {}
-    layer_sccs = {}
+    layers: dict = {}  # i -> (layer-i presentation, its SCC decomposition)
 
-    def ensure_layer(i):
-        if i in layer_objs:
-            return layer_objs[i]
-        if i == 1:
-            obj = None
-            steps = lg.steps
-            nvert = nv
-            base = lg
-        else:
-            obj = layer_graph(lg, i)
-            steps = obj.lg.steps
-            nvert = obj.lg.graph.n
-            base = obj.lg
-        dec = scc_decompose(base.graph)
-        layer_objs[i] = (steps, nvert, base)
-        layer_sccs[i] = dec
-        return layer_objs[i]
+    def layer(i):
+        if i not in layers:
+            base = lg if i == 1 else layer_graph(lg, i).lg
+            layers[i] = (base, scc_decompose(base.graph))
+        return layers[i]
 
     supports: dict = {}
     witnesses = []
-    for n in range(1, N + 1):
-        for w, rel1 in _periodic_words_exact_length(lg, n):
-            if least_rotation_period(w) != n:
-                continue
-            if min_rotation(w) != w:
-                continue
-            sep = 1
-            rel_at_sep = rel1
-            i = 2
-            while i <= nv:
-                steps, nvert, _base = ensure_layer(i)
-                rel = word_relation(steps, nvert, w)
-                if relation_has_cycle(rel):
-                    sep = i
-                    rel_at_sep = rel
-                    i += 1
-                else:
-                    break
-            ensure_layer(sep)
-            comps = _cycle_components(rel_at_sep, layer_objs[sep][2], layer_sccs[sep])
-            for j in comps:
-                supports.setdefault((sep, j), set()).add(n)
-            witnesses.append((n, word_str(w), sep, min(comps)))
+    for w, rel1 in _lyndon_words_in_shift(lg, N):
+        n = len(w)
+        sep = 1
+        rel_at_sep = rel1
+        i = 2
+        while i <= nv:
+            base, _dec = layer(i)
+            rel = word_relation(base.step_masks, base.graph.n, w)
+            if relation_has_cycle(rel):
+                sep = i
+                rel_at_sep = rel
+                i += 1
+            else:
+                break
+        comps = _cycle_components(rel_at_sep, *layer(sep))
+        for j in comps:
+            supports.setdefault((sep, j), set()).add(n)
+        witnesses.append((n, word_str(w), sep, min(comps)))
     return LayerDecomposition(
         N,
         tuple(sorted((k, frozenset(v)) for k, v in supports.items())),
@@ -795,7 +812,11 @@ def _cycle_components(rel, base_lg: LabeledGraph, dec) -> set:
     n = len(verts)
     rgraph = DirectedMultigraph.build(
         [str(v) for v in range(n)],
-        [(str(v), str(t), f"r{v}.{t}") for (v, t) in rel],
+        [
+            (str(v), str(t), f"r{v}.{t}")
+            for (v, row) in rel
+            for t in _bits(row)
+        ],
     )
     rdec = scc_decompose(rgraph)
     out = set()

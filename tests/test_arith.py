@@ -33,12 +33,42 @@ def test_iroot_floor(x, k):
     assert r**k <= x < (r + 1) ** k
 
 
+def _assert_least_period(w, p):
+    n = len(w)
+    assert n % p == 0
+    assert w == w[:p] * (n // p)
+    for q in divisors(n):
+        if q < p:
+            assert w != w[:q] * (n // q), (w, q)
+
+
 @given(st.text(alphabet="ab", min_size=1, max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_word_period_divides_and_repeats(w):
+    _assert_least_period(w, word_least_period(w))
+
+
+@given(
+    st.lists(st.sampled_from(["e1", "e10", "e2", "x"]), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_word_period_on_symbol_tuples(base, k):
+    # Cycle.least_period passes tuples of edge ids, whose symbols are
+    # multi-character strings
+    w = tuple(base) * k
     p = word_least_period(w)
-    assert len(w) % p == 0
-    assert w == w[:p] * (len(w) // p)
+    _assert_least_period(w, p)
+    assert k * len(base) % p == 0 and len(base) % p == 0
+
+
+def test_word_period_examples():
+    assert word_least_period("abab") == 2
+    assert word_least_period("aba") == 3
+    assert word_least_period("aabaab") == 3
+    assert word_least_period("aaaaaa") == 1
+    assert word_least_period("abaaba" "ab") == 8
+    assert word_least_period(("e1", "e10", "e1", "e10")) == 2
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=10), st.integers(min_value=0, max_value=9))

@@ -367,3 +367,35 @@ class TestResourceLimits:
         assert code == EXIT_OK and "seed" not in report
         with pytest.raises(SystemExit):
             main(["analyze", "--input", path, "--seed", "1"])
+
+
+class TestInternalError:
+    def test_unexpected_exception_exit_code(self, tmp_path, capsys, monkeypatch):
+        from periodlab import cli
+
+        def broken(args):
+            raise RuntimeError("unexpected state")
+
+        monkeypatch.setattr(cli, "cmd_analyze", broken)
+        path = write(tmp_path, "gm.json", GOLDEN)
+        code, payload = run(capsys, ["analyze", "--input", path, "--horizon", "4"])
+        assert code == cli.EXIT_INTERNAL == 6
+        assert payload == {
+            "error": "internal",
+            "detail": "RuntimeError: unexpected state",
+        }
+
+    def test_witness_assertion_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a class representative whose period the exact count misses is a
+        # bug in the counting pass, reported as an internal error
+        from periodlab import cli, sofic
+
+        def bad_counts(lg, N):
+            return [0] * N, {1: "0"}
+
+        monkeypatch.setattr(sofic, "sofic_period_counts", bad_counts)
+        path = write(tmp_path, "even.json", EVEN)
+        code, payload = run(capsys, ["analyze", "--input", path, "--horizon", "4"])
+        assert code == cli.EXIT_INTERNAL
+        assert payload["error"] == "internal"
+        assert "witnessed period missing" in payload["detail"]

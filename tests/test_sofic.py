@@ -3,7 +3,7 @@ import random
 import pytest
 
 from periodlab import sofic
-from periodlab.arith import ResourceLimitExceeded, least_rotation_period
+from periodlab.arith import ResourceLimitExceeded, least_rotation_period, min_rotation
 from periodlab.graph_core import scc_decompose
 from periodlab.realize import realize_sofic
 from periodlab.sft_counting import PeriodSetDescriptor
@@ -47,6 +47,108 @@ def layered_dag(layers=9, width=8):
         for k in range(width)
     ]
     return build_labeled(verts, edges)
+
+
+def label_matrices(lg):
+    """Per symbol, the 0/1 adjacency matrix (list of int rows) of the edges
+    carrying that symbol, indexed like the graph's vertices."""
+    idx = lg.graph.index
+    n = lg.graph.n
+    mats = {a: [[0] * n for _ in range(n)] for a in lg.alphabet}
+    for src, dst, eid in lg.graph.edges:
+        mats[lg.label_map[eid]][idx[src]][idx[dst]] = 1
+    return mats
+
+
+def bool_product(A, B):
+    """Integer product of 0/1 matrices, each entry clamped back to 0/1."""
+    n = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        acc = [0] * n
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(B[k]):
+                    acc[j] += x * y
+        out.append([1 if v else 0 for v in acc])
+    return out
+
+
+def is_nilpotent(M):
+    """M^m == 0 for some m >= dimension (squarings until m >= n)."""
+    power, m = M, 1
+    while m < len(M):
+        power = bool_product(power, power)
+        m *= 2
+    return not any(any(row) for row in power)
+
+
+def reference_products(lg, N):
+    """word -> product of the label matrices, for every word of length <= N."""
+    mats = label_matrices(lg)
+    n = lg.graph.n
+    level = {(): [[int(i == j) for j in range(n)] for i in range(n)]}
+    out = {}
+    for _ in range(N):
+        level = {
+            w + (a,): bool_product(M, mats[a])
+            for w, M in level.items()
+            for a in lg.alphabet
+        }
+        out.update(level)
+    return out
+
+
+class TestRelationEngine:
+    """The bitmask relation engine against 0/1 matrix products."""
+
+    def cases(self):
+        rng = random.Random(404)
+        out = [(random_labeled(rng, max_states=4), 7) for _ in range(10)]
+        out += [(random_labeled(rng, max_states=3, alphabet="012"), 5) for _ in range(6)]
+        big = realize_sofic(
+            PeriodSetDescriptor.make({1}, [(2, 2, ())], certified=True)
+        )
+        assert big.graph.n > 64
+        out.append((big, 7))
+        return out
+
+    def test_against_matrix_products(self):
+        for lg, N in self.cases():
+            products = reference_products(lg, N)
+            lyndon = []
+            for w, M in sorted(products.items()):
+                pairs = {
+                    (i, j) for i, row in enumerate(M) for j, x in enumerate(row) if x
+                }
+                rel = sofic.word_relation(lg.step_masks, lg.graph.n, w)
+                got = {(v, y) for (v, row) in rel for y in range(lg.graph.n) if row >> y & 1}
+                assert got == pairs, (lg.to_json(), w)
+                assert all(row for (_v, row) in rel)
+                nonnil = not is_nilpotent(M)
+                assert sofic.relation_has_cycle(rel) == nonnil, (lg.to_json(), w)
+                assert periodic_point_in_shift(lg, w) == nonnil
+                if (
+                    nonnil
+                    and least_rotation_period(w) == len(w)
+                    and min_rotation(w) == w
+                ):
+                    lyndon.append(w)
+            found = list(sofic._lyndon_words_in_shift(lg, N))
+            assert [w for (w, _rel) in found] == lyndon, lg.to_json()
+            for w, rel in found:
+                assert rel == sofic.word_relation(lg.step_masks, lg.graph.n, w)
+
+    def test_lyndon_search_respects_budget(self, full_shift_cover, monkeypatch):
+        # the one-vertex full 2-shift has 2 + 1 + 2 + 3 Lyndon words up to
+        # length 4, reached through 2 + 3 + 5 + 8 relation steps
+        words = ["".join(w) for (w, _rel) in sofic._lyndon_words_in_shift(full_shift_cover, 4)]
+        assert words == ["0", "0001", "001", "0011", "01", "011", "0111", "1"]
+        monkeypatch.setattr(sofic, "WORD_BUDGET", 18)
+        assert len(list(sofic._lyndon_words_in_shift(full_shift_cover, 4))) == 8
+        monkeypatch.setattr(sofic, "WORD_BUDGET", 17)
+        with pytest.raises(ResourceLimitExceeded, match="word sweep"):
+            list(sofic._lyndon_words_in_shift(full_shift_cover, 4))
 
 
 class TestSoficLps:
@@ -127,6 +229,22 @@ class TestSoficCaps:
         monkeypatch.setattr(sofic, "WORD_BUDGET", 10)
         with pytest.raises(ResourceLimitExceeded, match="word sweep"):
             unique_preimage_lps(even_shift, 6)
+
+    def test_inclusion_pair_cap(self, even_shift, monkeypatch):
+        # the inclusion check that certifies irreducibility visits more
+        # than one (state, state set) pair on the even shift
+        assert determinize_and_minimize(even_shift).minimal
+        monkeypatch.setattr(sofic, "INCLUSION_PAIR_CAP", 1)
+        with pytest.raises(ResourceLimitExceeded, match="inclusion"):
+            determinize_and_minimize(even_shift)
+
+    def test_monoid_cap(self, even_shift, monkeypatch):
+        # the even shift's cover has more than one transition map of length 2
+        dp = determinize_and_minimize(even_shift)
+        assert receptive_lps_upto(dp, 4) == frozenset({1, 3, 4})
+        monkeypatch.setattr(sofic, "MONOID_CAP", 1)
+        with pytest.raises(ResourceLimitExceeded, match="monoid"):
+            receptive_lps_upto(dp, 4)
 
 
 class TestDeterminize:
