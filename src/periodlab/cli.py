@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from .arith import ResourceLimitExceeded
@@ -432,6 +433,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         detail = f"{type(exc).__name__}: {exc}"
         print(json.dumps({"error": "internal", "detail": detail}))
+        sys.stderr.write(traceback.format_exc())
         return EXIT_INTERNAL
     report.timing_ms = round((time.monotonic() - start) * 1000.0, 3)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))

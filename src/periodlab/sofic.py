@@ -13,13 +13,14 @@ of v's row: a w-labeled path v -> y), so a step is an OR of per-symbol
 successor masks and the cycle test peels a mask. Words of one length are
 grouped by relation, so period counts, and through Möbius inversion the
 least-period set, come from one pass over the relation classes, which also
-supplies the witness words. Periods no class representative carries, and
-the layer analysis, walk the Lyndon words of the shift (one per periodic
-orbit) in a single depth-first search. Two presentations of the same point
-are *mutually separated* when they occupy distinct vertices at every time;
-the layer-i graph tracks i-sets of vertices joined by injective
-label-respecting matchings, so a point has >= i mutually separated
-presentations exactly when some layer-i walk carries its label.
+supplies the witness words. The layer analysis walks the Lyndon words of
+the shift (one per periodic orbit) in a single depth-first search; a period
+no class representative carries gets the first Lyndon word of a search to
+that length alone. Two presentations of the same point are *mutually
+separated* when they occupy distinct vertices at every time; the layer-i
+graph tracks i-sets of vertices joined by injective label-respecting
+matchings, so a point has >= i mutually separated presentations exactly
+when some layer-i walk carries its label.
 
 The relation-class pass, the Lyndon-word search, the layer analysis, the
 language-inclusion check and the transition-monoid count are bounded by the
@@ -320,14 +321,13 @@ def sofic_lps_upto(lg: LabeledGraph, N: int) -> SoficLpsResult:
     }
     if set(found) - support:
         raise AssertionError("witnessed period missing from exact count")
-    missing = support - set(found)
-    if missing:
-        for w, _rel in _lyndon_words_in_shift(lg, max(missing)):
-            if len(w) in missing:
-                missing.discard(len(w))
-                found[len(w)] = word_str(w)
-                if not missing:
-                    break
+    for n in sorted(support - set(found)):
+        # a search to depth n alone: one to the largest missing length
+        # could pass a subtree exponential in that length before reaching
+        # the first Lyndon word of a short one
+        found[n] = next(
+            word_str(w) for w, _rel in _lyndon_words_in_shift(lg, n) if len(w) == n
+        )
     return SoficLpsResult(
         N, tuple((n, found[n]) for n in sorted(support))
     )

@@ -378,12 +378,17 @@ class TestInternalError:
 
         monkeypatch.setattr(cli, "cmd_analyze", broken)
         path = write(tmp_path, "gm.json", GOLDEN)
-        code, payload = run(capsys, ["analyze", "--input", path, "--horizon", "4"])
+        code = main(["analyze", "--input", path, "--horizon", "4"])
+        captured = capsys.readouterr()
         assert code == cli.EXIT_INTERNAL == 6
-        assert payload == {
+        assert json.loads(captured.out) == {
             "error": "internal",
             "detail": "RuntimeError: unexpected state",
         }
+        # the traceback goes to stderr for diagnosis
+        assert captured.err.startswith("Traceback")
+        assert "in broken" in captured.err
+        assert captured.err.rstrip().endswith("RuntimeError: unexpected state")
 
     def test_witness_assertion_exit_code(self, tmp_path, capsys, monkeypatch):
         # a class representative whose period the exact count misses is a

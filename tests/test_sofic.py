@@ -165,6 +165,22 @@ class TestSoficLps:
     def test_full_shift(self, full_shift_cover):
         assert sofic_lps_upto(full_shift_cover, 3).support == frozenset({1, 2, 3})
 
+    @pytest.mark.parametrize("alphabet,N", [("01", 30), ("012", 20)])
+    def test_missing_period_witnesses_are_cheap(self, alphabet, N, monkeypatch):
+        # one vertex is one relation class per length, whose representative
+        # 0...0 witnesses period 1 only; every other period takes its
+        # witness 0^(n-1)1 from a search of 2n relation steps, not from one
+        # search to depth N that first passes every prenecklace 00...
+        lg = build_labeled(
+            ["v"], [("v", "v", f"e{a}", a) for a in alphabet]
+        )
+        monkeypatch.setattr(sofic, "WORD_BUDGET", len(alphabet) * N)
+        res = sofic_lps_upto(lg, N)
+        assert res.support == frozenset(range(1, N + 1))
+        assert dict(res.witnesses) == {
+            n: "0" * (n - 1) + "1" if n > 1 else "0" for n in range(1, N + 1)
+        }
+
     def test_counts_match_word_enumeration(self, even_shift):
         # p_n of the even shift: count length-n binary words w with
         # w-periodic extension allowed (independent direct check)
