@@ -6,13 +6,16 @@ compared through certified rational bounds on Perron roots and least-period
 counts are compared exactly on a finite horizon, so a positive verdict is
 ``pass_at_desk_scale`` unless the growth separation certifies the
 comparison for every n (reported in the verdict detail).
+
+The Table 1 shape tests read the SFT cells off
+:meth:`PeriodSetDescriptor.sft_shape`, the package's one decision of the
+g * (F | {N, N+1, ...}) form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import lcm
 from .graph_core import (
     DirectedMultigraph,
     closed_walk_counts,
@@ -57,17 +60,6 @@ def descriptor_equal(a: PeriodSetDescriptor, b: PeriodSetDescriptor) -> bool:
     return descriptors_equal_sets(a, b)
 
 
-def _tail_is_cofinite(desc: PeriodSetDescriptor, scale: int = 1) -> bool:
-    """Does desc contain scale*k for every large k?"""
-    if not desc.components:
-        return False
-    bound = desc.structural_bound() // scale + 1
-    period = desc.tail_lcm()
-    return all(
-        desc.contains(scale * k) for k in range(bound, bound + period + 1)
-    )
-
-
 # -- Table 1 shape predicates ---------------------------------------------------
 
 ROWS = ("mixing", "transitive", "general")
@@ -94,24 +86,21 @@ class TableOneForm:
 def matches_table_form(desc: PeriodSetDescriptor, cell: TableOneForm) -> bool:
     """Set-level shape test for one classification cell.
 
-    mixing: {1} or a cofinite subset of N. transitive SFT: a singleton {d}
-    or d * (cofinite). transitive sofic/FP: finite sets must be singletons.
-    general: any nonempty set of the descriptor form qualifies.
+    mixing SFT/sofic/FP: {1} or a cofinite subset of N, i.e. an SFT shape
+    (``desc.sft_shape()``) with g = 1. transitive SFT: any SFT shape, a
+    singleton {d} or d * (cofinite). transitive sofic/FP: finite sets must be
+    singletons. general: any nonempty set of the descriptor form qualifies.
     """
     if desc.is_empty:
         return False
     if cell.row == "general":
         return True
     if cell.row == "mixing":
-        if desc.is_finite:
-            return desc.finite_part == frozenset({1})
-        return _tail_is_cofinite(desc, 1)
-    # transitive row
-    if desc.is_finite:
-        return len(desc.finite_part) == 1
+        shape = desc.sft_shape()
+        return shape is not None and shape[1] == 1
     if cell.column == "SFT":
-        return _tail_is_cofinite(desc, desc.gcd())
-    return True
+        return desc.sft_shape() is not None
+    return not desc.is_finite or len(desc.finite_part) == 1
 
 
 # -- Sharkovskii ordering --------------------------------------------------------
@@ -224,9 +213,8 @@ def _is_mixing(g: DirectedMultigraph) -> bool:
 def _certify_rho_less(gx, gy, depth: int = 40):
     """Certify rho(A_x) < rho(A_y) via integer cross-power comparisons of
     walk-count upper bounds (x side) and trace lower bounds (y side).
-    Returns (j, k) on success, None if not certified within depth."""
-    if gx.n == 0:
-        return (1, 1) if closed_walk_counts(gy, 1) is not None and gy.n else None
+    Returns (j, k) on success, None if not certified within depth. An
+    empty X has walk counts 0, so the first k with p_k(Y) > 0 certifies."""
     ux = max_walk_counts(gx, set(gx.vertices), depth)
     ty = closed_walk_counts(gy, depth)
     my = gy.n

@@ -5,7 +5,9 @@ The gap-set type only represents eventually periodic sets (finite part plus
 arithmetic tails), which is precisely the sofic range; non-sofic gap shifts
 are out of scope at the type level. Least-period sets are computed through
 the almost sum-closure of S + 1, with a certified cofinite tail, and every
-admissible least-period set is realized by an explicit gap set.
+admissible least-period set is realized by an explicit gap set, built from
+the d * (F | {N, N+1, ...}) form that
+:meth:`PeriodSetDescriptor.sft_shape` reads off the set.
 """
 
 from __future__ import annotations
@@ -316,27 +318,15 @@ def gap_realize(q: PeriodSetDescriptor) -> GapSet:
             f"set is not almost sum-closed: {witness[0]} + {witness[1]} missing",
             witness=witness,
         )
-    d = body.gcd()
-    bound = body.structural_bound()
-    limit = bound + body.tail_lcm()
-    if any(
-        not body.contains(n) for n in range(limit, limit + body.tail_lcm() + d, d)
-        if n % d == 0
-    ):
-        raise GapShapeError("tail is not a full arithmetic progression")
-    onset = ((limit + d - 1) // d) * d
-    while not body.contains(onset):
-        onset += d
-    while onset - d >= d and body.contains(onset - d):
-        onset -= d
-    N = onset // d
+    # an infinite almost sum-closed set holds x + y + (any sum of its
+    # members), so every large multiple of its gcd d: an SFT shape
+    _, d, N, F = body.sft_shape()
+    low = [d * f - 1 for f in F]
     if with_one:
         # S = dR - 1, infinite
-        fin = [m - 1 for m in body.members_upto(onset - 1)]
-        return GapSet.make(fin, [(onset - 1, d)])
-    F = [m for m in body.members_upto(onset - 1)]
-    B = list(range(d * N, 2 * d * N + 1, d))
-    return GapSet.make([v - 1 for v in sorted(set(F + B))], ())
+        return GapSet.make(low, [(d * N - 1, d)])
+    # the doubling block {dN, ..., 2dN} closes the tail under sums
+    return GapSet.make(low + [d * k - 1 for k in range(N, 2 * N + 1)], ())
 
 
 def _closure_witness(desc: PeriodSetDescriptor):

@@ -157,12 +157,6 @@ class SccDecomposition:
     is_trivial: tuple[bool, ...]
     condensation_edges: frozenset
 
-    def component_of(self, v: str) -> int:
-        for i, comp in enumerate(self.components):
-            if v in comp:
-                return i
-        raise KeyError(v)
-
     @property
     def nontrivial(self) -> list[int]:
         return [i for i, t in enumerate(self.is_trivial) if not t]

@@ -9,6 +9,10 @@ glued at a root); and, for arbitrary subsets of the naturals, a subshift
 handle generating the defining orbit family (the object is generally not
 sofic, so no finite presentation exists and the handle exposes exactly the
 computable surface: generator words, periodic points, word membership).
+
+:func:`check_target_shape` is the one admissibility test; every construction
+rejects through it. The irreducible-SFT shape, a singleton {d} or
+g * (F | {N, N+1, ...}), is :meth:`PeriodSetDescriptor.sft_shape`.
 """
 
 from __future__ import annotations
@@ -50,39 +54,11 @@ class LpsRequest:
         check_target_shape(self.descriptor, self.target)
 
 
-def sft_shape(desc: PeriodSetDescriptor):
-    """('singleton', d), ('scaled_cofinite', g, N, F) for g*(F | {N, N+1, ...}),
-    or None when the set fits neither irreducible-SFT shape."""
-    if desc.is_empty:
-        return None
-    if desc.is_finite:
-        if len(desc.finite_part) == 1:
-            return ("singleton", min(desc.finite_part))
-        return None
-    g = desc.gcd()
-    bound = desc.structural_bound()
-    period = desc.tail_lcm()
-    limit = bound + period
-    # the tail must be every multiple of g from some point on
-    if any(
-        not desc.contains(g * k)
-        for k in range(limit // g + 1, limit // g + period + 2)
-    ):
-        return None
-    onset = (limit // g + 1) * g
-    while onset - g >= g and desc.contains(onset - g):
-        onset -= g
-    members = desc.members_upto(onset - 1)
-    if any(m % g for m in members):
-        return None
-    return ("scaled_cofinite", g, onset // g, tuple(m // g for m in members))
-
-
 def check_target_shape(desc: PeriodSetDescriptor, target: str):
     if desc.is_empty:
         raise ShapeError("empty least-period sets are not realizable")
     if target == "irreducible_sft":
-        if sft_shape(desc) is None:
+        if desc.sft_shape() is None:
             raise ShapeError(
                 "irreducible SFT least-period sets are a singleton {d} or "
                 "d * (cofinite); this set is neither",
@@ -152,17 +128,12 @@ def realize_irreducible_sft(desc: PeriodSetDescriptor) -> DirectedMultigraph:
     """Irreducible SFT whose least-period set equals ``desc``.
 
     A singleton {d} becomes a simple d-cycle. A set g * (F | {N, N+1, ...})
-    becomes the attached-cycles graph for F and N with every edge subdivided
-    into g edges. An empty F is rewritten to F = {N} with tail start N + 1,
+    (``desc.sft_shape()``) becomes the attached-cycles graph for F and N
+    with every edge subdivided into g edges. An empty F is rewritten to F = {N} with tail start N + 1,
     which keeps the coprime cycle pair that makes the unscaled graph mixing.
     """
-    shape = sft_shape(desc)
-    if shape is None:
-        raise ShapeError(
-            "irreducible SFT least-period sets are a singleton {d} or "
-            "d * (cofinite)",
-            suggestion="reducible_sft",
-        )
+    check_target_shape(desc, "irreducible_sft")
+    shape = desc.sft_shape()
     if shape[0] == "singleton":
         d = shape[1]
         return DirectedMultigraph.build(
@@ -179,8 +150,7 @@ def realize_irreducible_sft(desc: PeriodSetDescriptor) -> DirectedMultigraph:
 def realize_reducible_sft(desc: PeriodSetDescriptor) -> DirectedMultigraph:
     """Disjoint union of irreducible realizations, one per finite singleton
     and one per scaled cofinite component."""
-    if desc.is_empty:
-        raise ShapeError("empty least-period sets are not realizable")
+    check_target_shape(desc, "reducible_sft")
     pieces = []
     for n in sorted(desc.finite_part):
         pieces.append(realize_irreducible_sft(PeriodSetDescriptor.singleton(n)))
@@ -266,15 +236,8 @@ def realize_sofic(desc: PeriodSetDescriptor) -> LabeledGraph:
     the finitely many set members no torus covers get cycle sections labeled
     by repeated 1 0^(j-1); all section roots are identified.
     """
-    if desc.is_empty:
-        raise ShapeError("empty least-period sets are not realizable")
+    check_target_shape(desc, "irreducible_sofic")
     if desc.is_finite:
-        if len(desc.finite_part) != 1:
-            raise ShapeError(
-                "a finite least-period set of an irreducible sofic shift "
-                "must be a singleton",
-                suggestion="reducible_sft",
-            )
         d = min(desc.finite_part)
         vertices, edges, labels, _root = _cycle_section(d, 1)
         return LabeledGraph.build(

@@ -248,6 +248,34 @@ class PeriodSetDescriptor:
                 g = gcd(g, c.scale * e)
         return g
 
+    def sft_shape(self):
+        """The set's irreducible-SFT form: ('singleton', d) for {d},
+        ('scaled_cofinite', g, N, F) for g * (F | {N, N+1, ...}) with g the
+        gcd of the members and N least, or None when it is neither.
+
+        Past the structural bound membership repeats with the tail lcm L, so
+        L + 1 consecutive multiples of g there decide the whole tail."""
+        if self.is_empty:
+            return None
+        if self.is_finite:
+            if len(self.finite_part) == 1:
+                return ("singleton", min(self.finite_part))
+            return None
+        g = self.gcd()
+        period = self.tail_lcm()
+        start = (self.structural_bound() + period) // g + 1
+        if not all(self.contains(g * k) for k in range(start, start + period + 1)):
+            return None
+        N = start
+        while N > 1 and self.contains(g * (N - 1)):
+            N -= 1
+        return (
+            "scaled_cofinite",
+            g,
+            N,
+            tuple(m // g for m in self.members_upto(g * N - 1)),
+        )
+
     def to_json(self) -> dict:
         return {
             "finite": sorted(self.finite_part),

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 from .arith import ResourceLimitExceeded, least_rotation_period, min_rotation
 from .graph_core import DirectedMultigraph, essential_subgraph, scc_decompose
@@ -704,27 +704,27 @@ class LayerGraph:
 def layer_graph(lg: LabeledGraph, i: int) -> LayerGraph:
     if i < 1:
         raise ValueError("layer index must be >= 1")
-    verts = lg.graph.vertices
-    idx = lg.graph.index
-    subsets = list(combinations(sorted(verts), i))
+    verts = lg.graph.by_index  # sorted ids; vertex k is bit k of the masks
+    subsets = list(combinations(verts, i))
     name = {s: "{" + ",".join(s) + "}" for s in subsets}
+    idx = lg.graph.index
     masks = lg.step_masks
     edges, labels = [], {}
     for a in lg.alphabet:
         succ = masks[a]
-        for U, V in product(subsets, subsets):
-            adj = [
-                [
-                    j
-                    for j, v in enumerate(V)
-                    if succ[idx[u]] >> idx[v] & 1
-                ]
-                for u in U
-            ]
-            if all(adj) and _has_perfect_matching(adj):
-                eid = f"{name[U]}~{a}~{name[V]}"
-                edges.append((name[U], name[V], eid))
-                labels[eid] = a
+        for U in subsets:
+            rows = [succ[idx[u]] for u in U]
+            reach = 0
+            for row in rows:
+                reach |= row
+            # only V inside U's successor union can be matched from U
+            for ys in combinations(tuple(_bits(reach)), i):
+                adj = [[j for j, y in enumerate(ys) if row >> y & 1] for row in rows]
+                if all(adj) and _has_perfect_matching(adj):
+                    V = tuple(verts[y] for y in ys)
+                    eid = f"{name[U]}~{a}~{name[V]}"
+                    edges.append((name[U], name[V], eid))
+                    labels[eid] = a
     g = DirectedMultigraph.build([name[s] for s in subsets], edges)
     return LayerGraph(i, LabeledGraph.build(g, labels), tuple(subsets))
 
@@ -771,12 +771,11 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
         raise ResourceLimitExceeded(
             f"layer analysis needs <= {LAYER_MAX_STATES} states, got {nv}"
         )
-    layers: dict = {}  # i -> (layer-i presentation, its SCC decomposition)
+    layers: dict = {}  # i -> _layer_masks of the layer-i presentation
 
     def layer(i):
         if i not in layers:
-            base = lg if i == 1 else layer_graph(lg, i).lg
-            layers[i] = (base, scc_decompose(base.graph))
+            layers[i] = _layer_masks(lg if i == 1 else layer_graph(lg, i).lg)
         return layers[i]
 
     supports: dict = {}
@@ -787,15 +786,15 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
         rel_at_sep = rel1
         i = 2
         while i <= nv:
-            base, _dec = layer(i)
-            rel = word_relation(base.step_masks, base.graph.n, w)
+            masks, n_i, _comps = layer(i)
+            rel = word_relation(masks, n_i, w)
             if relation_has_cycle(rel):
                 sep = i
                 rel_at_sep = rel
                 i += 1
             else:
                 break
-        comps = _cycle_components(rel_at_sep, *layer(sep))
+        comps = _cycle_components(rel_at_sep, layer(sep)[2])
         for j in comps:
             supports.setdefault((sep, j), set()).add(n)
         witnesses.append((n, word_str(w), sep, min(comps)))
@@ -806,21 +805,29 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
     )
 
 
-def _cycle_components(rel, base_lg: LabeledGraph, dec) -> set:
-    """Layer components containing a cycle of the word relation."""
-    verts = base_lg.graph.by_index
-    n = len(verts)
-    rgraph = DirectedMultigraph.build(
-        [str(v) for v in range(n)],
-        [
-            (str(v), str(t), f"r{v}.{t}")
-            for (v, row) in rel
-            for t in _bits(row)
-        ],
-    )
-    rdec = scc_decompose(rgraph)
+def _layer_masks(base: LabeledGraph) -> tuple:
+    """(step masks, vertex count, ((j, vertex mask), ...)) of a layer
+    presentation, one (j, mask) per nontrivial component j of its SCC
+    decomposition."""
+    g = base.graph
+    dec = scc_decompose(g)
+    comps = []
+    for j in dec.nontrivial:
+        mask = 0
+        for v in dec.components[j]:
+            mask |= 1 << g.index[v]
+        comps.append((j, mask))
+    return base.step_masks, g.n, tuple(comps)
+
+
+def _cycle_components(rel, comps) -> set:
+    """Layer components (``comps`` as from :func:`_layer_masks`) containing
+    a cycle of the word relation. A relation cycle is a closed walk of the
+    layer graph, so it never leaves one nontrivial component: each is
+    tested on the relation restricted to its mask."""
     out = set()
-    for i in rdec.nontrivial:
-        member = next(iter(rdec.components[i]))
-        out.add(dec.component_of(verts[int(member)]))
+    for j, mask in comps:
+        sub = tuple((v, row & mask) for v, row in rel if mask >> v & 1)
+        if relation_has_cycle(sub):
+            out.add(j)
     return out

@@ -6,9 +6,11 @@ computed per strongly connected component on the component's weighted core
 ``graph_core.contract_chains``): a small matrix I - B(t) whose entries are
 integer polynomials, reduced by fraction-free Bareiss elimination.
 
-All arithmetic here is exact: integer polynomials, exact determinants, and
-Fraction power series. No floating point anywhere in this module, since
-zero-testing of sequence terms must be exact.
+All arithmetic here is exact: integer polynomials, exact determinants,
+rational functions reduced by a gcd over the integers (a primitive
+pseudo-remainder sequence), and Fraction power series. No floating point
+anywhere in this module, since zero-testing of sequence terms must be
+exact.
 """
 
 from __future__ import annotations
@@ -139,30 +141,37 @@ def poly_divexact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     return IntPolynomial.make(q)
 
 
-def _qpoly_gcd(a, b):
-    """Monic gcd over Q[t]; inputs/outputs are lists of Fractions."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
+def _primitive(c: list) -> list:
+    """Coefficients divided by their content, leading coefficient positive."""
+    g = 0
+    for x in c:
+        g = gcd(g, x)
+    if c[-1] < 0:
+        g = -g
+    return [x // g for x in c]
 
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
 
-    a, b = trim(a), trim(b)
+def _int_poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """gcd of two nonzero polynomials over Z[t], with content 1 and a
+    positive leading coefficient: a primitive pseudo-remainder sequence,
+    so the arithmetic stays in integers."""
+    a, b = _primitive(list(a.coeffs)), _primitive(list(b.coeffs))
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        # a mod b
-        while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
+        if len(b) == 1:
+            return IntPolynomial.one()
+        lead = b[-1]
+        while len(a) >= len(b):
+            f = a[-1]
             off = len(a) - len(b)
+            a = [lead * x for x in a]
             for i, c in enumerate(b):
                 a[off + i] -= f * c
-            a = trim(a)
-        a, b = b, a
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, (_primitive(a) if a else [])
+    return IntPolynomial(tuple(a))
 
 
 # -- rational functions -------------------------------------------------------
@@ -183,12 +192,10 @@ class RationalFunction:
             raise ValueError("denominator must be nonzero at 0")
         if num.is_zero:
             return cls(IntPolynomial.zero(), IntPolynomial.one())
-        g = _qpoly_gcd(list(num.coeffs), list(den.coeffs))
-        if len(g) > 1:
-            den_l = lcm_of_denoms(g)
-            gint = IntPolynomial.make([int(c * den_l) for c in g])
-            num = poly_divexact(num.scale(gint.content()), gint)
-            den = poly_divexact(den.scale(gint.content()), gint)
+        g = _int_poly_gcd(num, den)
+        if g.degree > 0:
+            num = poly_divexact(num, g)
+            den = poly_divexact(den, g)
         c = gcd(num.content(), den.content())
         num = poly_divexact(num, IntPolynomial.make([c]))
         den = poly_divexact(den, IntPolynomial.make([c]))
@@ -218,13 +225,6 @@ class RationalFunction:
     @classmethod
     def from_json(cls, data: dict) -> "RationalFunction":
         return cls.make(data["num"], data["den"])
-
-
-def lcm_of_denoms(fracs) -> int:
-    out = 1
-    for f in fracs:
-        out = lcm(out, Fraction(f).denominator)
-    return out
 
 
 def det_poly_matrix(m: list) -> IntPolynomial:

@@ -275,6 +275,39 @@ class TestEmbedCheck:
         code, payload = run(capsys, ["embed-check", px, py, "--horizon", "5"])
         assert code == EXIT_SHAPE
 
+    def test_empty_x_certificate_is_first_positive_trace(self, tmp_path, capsys):
+        # Y: a 2-cycle and a 3-cycle through v, mixing with p_1 = 0 and
+        # p_2 = 2, so the certificate 0 < p_k(Y) needs k = 2
+        y = {
+            "vertices": ["v", "a", "b", "c"],
+            "edges": [
+                {"id": "va", "from": "v", "to": "a"},
+                {"id": "av", "from": "a", "to": "v"},
+                {"id": "vb", "from": "v", "to": "b"},
+                {"id": "bc", "from": "b", "to": "c"},
+                {"id": "cv", "from": "c", "to": "v"},
+            ],
+        }
+        px = write(tmp_path, "x.json", {"vertices": [], "edges": []})
+        py = write(tmp_path, "y.json", y)
+        code, report = run(capsys, ["embed-check", px, py, "--horizon", "6"])
+        assert code == EXIT_OK
+        verdict = report["outputs"]["verdict"]
+        assert verdict["verdict"] == "pass_at_desk_scale"
+        assert verdict["entropy_certificate"] == {"j": 1, "k": 2}
+
+    def test_empty_x_into_entropy_zero_target(self, tmp_path, capsys):
+        # both shifts are empty as shifts (Y has no cycle): h(X) < h(Y)
+        # fails, which is reported before Y's mixing property is looked at
+        y = {"vertices": ["a", "b"], "edges": [{"id": "ab", "from": "a", "to": "b"}]}
+        px = write(tmp_path, "x.json", {"vertices": [], "edges": []})
+        py = write(tmp_path, "y.json", y)
+        code, report = run(capsys, ["embed-check", px, py, "--horizon", "5"])
+        assert code == EXIT_OK
+        verdict = report["outputs"]["verdict"]
+        assert verdict["verdict"] == "entropy_fail"
+        assert verdict["reason"] == "strict_inequality_not_certified"
+
 
 class TestLayers:
     def test_even_shift_layers(self, tmp_path, capsys):

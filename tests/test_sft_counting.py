@@ -180,6 +180,47 @@ class TestDescriptorCanonical:
                 expect = gcd(expect, n)
             assert d.gcd() == expect, d.to_json()
 
+    def test_sft_shape_against_membership_sweep(self):
+        from math import gcd
+
+        assert PeriodSetDescriptor.empty().sft_shape() is None
+        rng = random.Random(509)
+        seen = set()
+        for _ in range(400):
+            comps = []
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                t = rng.randint(1, 7)
+                extras = rng.sample(range(1, t), rng.randint(0, t - 1))
+                comps.append((rng.choice((1, 1, 2, 3, 4, 6)), t, extras))
+            finite = rng.sample(range(1, 25), rng.randint(0, 3))
+            d = PeriodSetDescriptor.make(finite, comps)
+            if d.is_empty:
+                continue
+            bound, L = d.structural_bound(), d.tail_lcm()
+            g = 0
+            for n in d.members_upto(bound + 2 * L):
+                g = gcd(g, n)
+            # past the bound membership repeats with period L, so the tail
+            # is every multiple of g iff L of them past the bound are members
+            H = bound + 2 * g * L
+            members = d.members_upto(H)
+            member = set(members)
+            shape = d.sft_shape()
+            seen.add(None if shape is None else shape[0])
+            if len(members) == 1:
+                assert shape == ("singleton", members[0]), d.to_json()
+                continue
+            if not all(n in member for n in range(g * (bound // g + 1), H + 1, g)):
+                assert shape is None, d.to_json()
+                continue
+            N = bound // g + 1
+            while N > 1 and g * (N - 1) in member:
+                N -= 1
+            F = tuple(n // g for n in members if n < g * N)
+            assert shape == ("scaled_cofinite", g, N, F), d.to_json()
+            assert members == [g * f for f in F] + list(range(g * N, H + 1, g))
+        assert seen == {None, "singleton", "scaled_cofinite"}
+
     @given(
         st.integers(min_value=1, max_value=5),
         st.integers(min_value=1, max_value=5),

@@ -83,6 +83,20 @@ def is_nilpotent(M):
     return not any(any(row) for row in power)
 
 
+def on_relation_cycle(M):
+    """Indices v with v -> ... -> v in the 0/1 relation matrix M, read off
+    its transitive closure (Warshall)."""
+    n = len(M)
+    reach = [list(row) for row in M]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    if reach[k][j]:
+                        reach[i][j] = 1
+    return [v for v in range(n) if reach[v][v]]
+
+
 def reference_products(lg, N):
     """word -> product of the label matrices, for every word of length <= N."""
     mats = label_matrices(lg)
@@ -138,6 +152,52 @@ class TestRelationEngine:
             assert [w for (w, _rel) in found] == lyndon, lg.to_json()
             for w, rel in found:
                 assert rel == sofic.word_relation(lg.step_masks, lg.graph.n, w)
+
+    def test_cycle_components_against_transitive_closure(self):
+        rng = random.Random(606)
+        cases = [(random_labeled(rng, max_states=6), 4) for _ in range(12)]
+        cases += [(random_labeled(rng, max_states=4, alphabet="012"), 3) for _ in range(4)]
+        for lg, N in cases:
+            for i in range(1, lg.graph.n + 1):
+                layer = lg if i == 1 else layer_graph(lg, i).lg
+                comps = sofic._layer_masks(layer)[2]
+                dec = scc_decompose(layer.graph)
+                by_index = layer.graph.by_index
+                for w, M in reference_products(layer, N).items():
+                    rel = tuple(
+                        (v, sum(1 << y for y, x in enumerate(row) if x))
+                        for v, row in enumerate(M)
+                        if any(row)
+                    )
+                    want = {
+                        j
+                        for v in on_relation_cycle(M)
+                        for j, comp in enumerate(dec.components)
+                        if by_index[v] in comp
+                    }
+                    assert sofic._cycle_components(rel, comps) == want, (
+                        lg.to_json(), i, w,
+                    )
+
+    def test_cycle_components_skip_a_component_the_relation_crosses(self):
+        # "a" runs A -> A, A -> B1 -> C, C -> C: its relation passes through
+        # the component {B1, B2} (a b-cycle) but has no cycle inside it
+        lg = build_labeled(
+            ["A", "B1", "B2", "C"],
+            [
+                ("A", "A", "aa", "a"),
+                ("A", "B1", "ab", "a"),
+                ("B1", "C", "bc", "a"),
+                ("C", "C", "cc", "a"),
+                ("B1", "B2", "b12", "b"),
+                ("B2", "B1", "b21", "b"),
+            ],
+        )
+        dec = scc_decompose(lg.graph)
+        comp_of = {v: j for j, comp in enumerate(dec.components) for v in comp}
+        rel = sofic.word_relation(lg.step_masks, lg.graph.n, "a")
+        got = sofic._cycle_components(rel, sofic._layer_masks(lg)[2])
+        assert got == {comp_of["A"], comp_of["C"]}
 
     def test_lyndon_search_respects_budget(self, full_shift_cover, monkeypatch):
         # the one-vertex full 2-shift has 2 + 1 + 2 + 3 Lyndon words up to

@@ -61,6 +61,29 @@ class TestPolynomials:
     def test_trim(self):
         assert IntPolynomial.make([1, 0, 0]).coeffs == (1,)
 
+    def test_planted_common_factor_cancels(self):
+        # a non-monic f (leading coefficient +-2, +-3, content up to 3) must
+        # cancel completely: the reduced pair is unique
+        rng = random.Random(61)
+
+        def poly(deg):
+            c = [rng.randint(-4, 4) for _ in range(deg)]
+            return IntPolynomial.make(
+                [rng.choice((-3, -1, 1, 2))] + c + [rng.choice((-3, -2, 2, 3))]
+            )
+
+        for _ in range(150):
+            a, b = poly(rng.randint(0, 3)), poly(rng.randint(0, 3))
+            f = poly(rng.randint(0, 3)).scale(rng.choice((1, 1, 2, -3)))
+            assert RationalFunction.make(a * f, b * f) == RationalFunction.make(a, b)
+        reduced = RationalFunction.make(
+            IntPolynomial.make([2, -6, 4]), IntPolynomial.make([6, -3, -3])
+        )
+        # 2(1 - t)(1 - 2t) / 3(1 - t)(2 + t)
+        assert reduced == RationalFunction(
+            IntPolynomial.make([2, -4]), IntPolynomial.make([6, 3])
+        )
+
 
 class TestZeta:
     def test_full_two_shift(self, full_two_shift):
