@@ -6,7 +6,7 @@ state between calls.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, log2
 
 MOBIUS_CAP = 10**6
 
@@ -57,7 +57,13 @@ def mobius(n: int) -> int:
 
 
 def iroot(x: int, k: int) -> int:
-    """Floor of the k-th root of a nonnegative integer (Newton on ints)."""
+    """Floor of the k-th root of a nonnegative integer (Newton on ints).
+
+    The seed is 2^(log2(x)/k) from x's leading bits, rounded up. One Newton
+    step from any positive r lands at or above the floor root (the AM-GM
+    inequality), after which the iteration decreases to it; the exact
+    r**k corrections at the end make the result independent of the seed.
+    """
     if x < 0 or k < 1:
         raise ValueError("need x >= 0 and k >= 1")
     if x == 0:
@@ -66,7 +72,13 @@ def iroot(x: int, k: int) -> int:
         return x
     if k == 2:
         return isqrt(x)
-    r = 1 << -(-x.bit_length() // k)  # overestimate
+    e = log2(x) / k
+    q = int(e)
+    if q < 53:
+        r = int(2.0**e) + 1
+    else:
+        r = (int(2.0 ** (e - q + 52)) + 1) << (q - 52)
+    r = ((k - 1) * r + x // r ** (k - 1)) // k
     while True:
         t = ((k - 1) * r + x // r ** (k - 1)) // k
         if t >= r:

@@ -3,14 +3,16 @@
 Exit codes: 0 success, 2 parse error, 3 shape rejection, 4 oracle
 disagreement (always a bug, never swallowed), 5 resource limit exceeded
 (a named cap was hit, or a certified tail could not be established within
-the certification caps), 6 internal error (any other exception; a bug).
-Reports are deterministic given identical inputs and flags, except for the
-timing field.
+the certification caps), 6 internal error (any other exception; a bug),
+7 output closed (stdout's reader went away, as in ``| head``; nothing is
+written to stderr). Reports are deterministic given identical inputs and
+flags, except for the timing field.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -49,6 +51,7 @@ EXIT_SHAPE = 3
 EXIT_ORACLE = 4
 EXIT_RESOURCE = 5
 EXIT_INTERNAL = 6
+EXIT_OUTPUT_CLOSED = 7
 
 DEFAULT_ORACLE_CAP = 20
 
@@ -360,7 +363,9 @@ def cmd_embed_check(args) -> RunReport:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="periodlab",
         description="Exact period and least-period analysis of shift spaces",
@@ -377,10 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--oracle-cap",
             type=int,
-            default=int(
-                os.environ.get("PERIODLAB_ORACLE_CAP", DEFAULT_ORACLE_CAP)
-            ),
-            help="max horizon for brute-force path enumeration",
+            default=None,
+            help="max horizon for brute-force path enumeration (default: "
+            f"$PERIODLAB_ORACLE_CAP, else {DEFAULT_ORACLE_CAP})",
         )
         p.add_argument("--output", help="artifact output path")
 
@@ -398,10 +402,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _oracle_cap(args) -> int:
+    """--oracle-cap, else $PERIODLAB_ORACLE_CAP, else the default; read at
+    each call, so the environment of the call decides."""
+    if args.oracle_cap is not None:
+        return args.oracle_cap
+    raw = os.environ.get("PERIODLAB_ORACLE_CAP")
+    if raw is None:
+        return DEFAULT_ORACLE_CAP
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ParseFailure(f"PERIODLAB_ORACLE_CAP must be an integer, got {raw!r}") from exc
+
+
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so the interpreter's
+    flush at exit finds a sink and reports no second broken pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # no descriptor: nothing left to flush
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        _silence_stdout()
+        return EXIT_OUTPUT_CLOSED
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
+        args.oracle_cap = _oracle_cap(args)
         if args.horizon < 1:
             raise ParseFailure(f"--horizon must be >= 1, got {args.horizon}")
         if args.oracle_cap < 1:

@@ -11,7 +11,7 @@ threshold is decided by exact sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, log2
 
 from .arith import divisors, iroot, lcm, mobius
 from .graph_core import (
@@ -444,6 +444,8 @@ def _floor_root_scaled(value: int, k: int, denom: int = _ROOT_DENOM) -> int:
 
 
 _STEP_DENOM = 1 << 8  # coarse denominator for per-step growth factors
+_BOUND_DENOM = 1 << 32  # first denominator tried for a rational step bound
+THRESHOLD_SEARCH_CAP = 500_000  # multiples of d a threshold search may pass
 
 
 @dataclass(frozen=True)
@@ -454,8 +456,11 @@ class GrowthCertificate:
       p_n >= (x / 2^8)^(n - w_prime)    for multiples n >= w_prime of d
       rho >= y / 2^16 > 1               (Perron-root lower bound)
       rho^j_upper <= walk_cap           (from max length-j walk counts)
-    so summed p-tails are dominated and q-positivity thresholds follow from
-    an exact integer inequality.
+      (z / z_denom)^(2 j_upper) >= walk_cap and x / 2^8 > z / z_denom
+    so the step bound Z = z / z_denom is a rational upper bound on
+    walk_cap^(1 / (2 j_upper)) that the certified growth per step exceeds.
+    Summed p-tails are dominated by powers of Z, and q-positivity
+    thresholds follow from exact integer inequalities in n.
     """
 
     m: int
@@ -465,38 +470,45 @@ class GrowthCertificate:
     y: int
     j_upper: int
     walk_cap: int
+    z: int
+    z_denom: int
 
 
-def _float_log(value: int) -> float:
-    from math import log2
+def _step_bound(value: int, k: int, x: int) -> tuple[int, int]:
+    """(z, D) with (z / D)^k >= value and x / 2^8 > z / D.
 
-    if value <= 0:
-        return float("-inf")
-    if value.bit_length() <= 900:
-        return log2(value)
-    shift = value.bit_length() - 64
-    return log2(value >> shift) + shift
+    z is the ceiling root iroot(value * D^k - 1, k) + 1. D starts at 2^32
+    and is squared until the bound drops below x / 2^8, which happens
+    whenever x^k > value * 2^(8k), since z / D - value^(1/k) < 1 / D."""
+    D = _BOUND_DENOM
+    while True:
+        z = iroot(value * D**k - 1, k) + 1
+        if x * D > z * _STEP_DENOM:
+            return z, D
+        D *= D
 
 
 def growth_certificate(g, component, d, core, core_edges, base, w0) -> GrowthCertificate:
     """Build the certificate, choosing the growth base K and the walk-bound
     exponent j by float preselection (only the final integer inequalities
-    certify anything, so the selection is free to be heuristic)."""
+    certify anything, so the selection is free to be heuristic). The step
+    bound Z is then fitted between walk_cap^(1/(2j)) and x / 2^8."""
     m = len(component)
     Dx, Dy = _STEP_DENOM, _ROOT_DENOM
     walk_caps = max_walk_counts(g, component, 160)
     best_j, best_wlog = None, None
     for j in range(1, len(walk_caps) + 1):
-        wlog = _float_log(walk_caps[j - 1]) / j
+        wlog = log2(walk_caps[j - 1]) / j
         if best_wlog is None or wlog < best_wlog - 1e-12:
             best_j, best_wlog = j, wlog
+    W = walk_caps[best_j - 1]
     k_cap = max(8 * d, 96)
     while True:
         counts = basepoint_return_counts(core, core_edges, base, k_cap)
         K, best_clog = None, 0.0
         for k in range(d, k_cap + 1, d):
             if counts[k] >= 2:
-                clog = _float_log(counts[k]) / k
+                clog = log2(counts[k]) / k
                 if clog > best_clog:
                     K, best_clog = k, clog
         x = _floor_root_scaled(counts[K], K, Dx) if K is not None else None
@@ -511,85 +523,90 @@ def growth_certificate(g, component, d, core, core_edges, base, w0) -> GrowthCer
             x is not None
             and x > Dx
             and y is not None
-            and x ** (2 * best_j) > walk_caps[best_j - 1] * Dx ** (2 * best_j)
+            and x ** (2 * best_j) > W * Dx ** (2 * best_j)
         ):
-            return GrowthCertificate(m, d, w0 + K, x, y, best_j, walk_caps[best_j - 1])
+            z, Dz = _step_bound(W, 2 * best_j, x)
+            return GrowthCertificate(m, d, w0 + K, x, y, best_j, W, z, Dz)
         k_cap *= 2
         if k_cap > 8192:
             raise CertificationError("return growth too slow to certify")
 
 
-def _estimate_crossing(log_deficit: float, log_ratio: float) -> int:
-    if log_ratio <= 0:
-        return 0
-    return max(0, int(log_deficit / log_ratio) - 2)
+def _least_multiple_where(holds, n0: int, d: int) -> int:
+    """Least n = n0 + d*k with holds(n), for a predicate that stays true
+    once true along the multiples of d. Doubles k from 1 until holds(n)
+    does, then bisects the last gap. CertificationError when the answer
+    lies more than THRESHOLD_SEARCH_CAP multiples of d above n0."""
+    if holds(n0):
+        return n0
+    lo, hi = 0, 1  # holds fails at n0 + d*lo
+    while not holds(n0 + d * hi):
+        if hi >= THRESHOLD_SEARCH_CAP:
+            raise CertificationError(
+                f"threshold search exceeded THRESHOLD_SEARCH_CAP = "
+                f"{THRESHOLD_SEARCH_CAP} multiples of {d}"
+            )
+        lo, hi = hi, min(2 * hi, THRESHOLD_SEARCH_CAP)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(n0 + d * mid):
+            hi = mid
+        else:
+            lo = mid
+    return n0 + d * hi
 
 
 def solve_q_positive_threshold(cert: GrowthCertificate, margin: int = 1) -> int:
-    """Smallest certified n* (a multiple of d) such that for all multiples
-    n >= n* of d:  lam^(n - w') * (rho_low - 1) > margin * m * W^((n+2)/(2j)).
+    """Least multiple n* > w' of d such that for all multiples n >= n* of d:
+        lam^(n - w') * (rho_low - 1) > margin * m * Z^(n + 2),
+    with lam = x / 2^8, rho_low = y / 2^16 and Z = z / z_denom the step
+    bound. Z^(n+2) >= W^((n+2)/(2j)) bounds the summed p-tail of the
+    proper divisors of n, so at margin 1 this makes q_n > 0; larger margins
+    leave room to dominate another system's counts.
 
-    At margin 1 this makes q_n > 0; larger margins leave room to dominate
-    another system's counts. A float estimate jump-starts the scan (the
-    returned threshold is certified either way, just not always minimal).
+    Cleared of denominators the inequality is an integer one whose two
+    sides grow by (x * z_denom)^d and (z * 2^8)^d per step, and
+    x * z_denom > z * 2^8: once it holds it holds for every later
+    multiple, so n* is found by doubling plus bisection.
     """
     Dx, Dy = _STEP_DENOM, _ROOT_DENOM
-    d, w_prime = cert.d, cert.w_prime
-    x, y, W, m = cert.x, cert.y, cert.walk_cap, cert.m
-    j2 = 2 * cert.j_upper
-    from math import log2
+    d, w, z, Dz = cert.d, cert.w_prime, cert.z, cert.z_denom
+    grow, bound = cert.x * Dz, z * Dx
+    lhs0 = (cert.y - Dy) * Dz ** (w + 2)
+    rhs0 = margin * cert.m * Dy * z ** (w + 2)
 
-    log_lam = log2(x) - 8
-    log_w = _float_log(W) / (2 * cert.j_upper)
-    deficit = (
-        log2(margin * m)
-        + (w_prime + 2) * log_w
-        - log2(max(y - Dy, 1)) + 16
-    )
-    est_steps = _estimate_crossing(deficit, d * (log_lam - log_w))
-    n = ((w_prime + d) // d) * d + d * est_steps
-    lhs = x ** (j2 * (n - w_prime)) * (y - Dy) ** j2
-    rhs = (margin * m) ** j2 * W ** (n + 2) * Dx ** (j2 * (n - w_prime)) * Dy**j2
-    lhs_step = x ** (j2 * d)
-    rhs_step = W**d * Dx ** (j2 * d)
-    iterations = 0
-    while lhs <= rhs:
-        n += d
-        lhs *= lhs_step
-        rhs *= rhs_step
-        iterations += 1
-        if iterations > 500_000:
-            raise CertificationError("threshold search exceeded cap")
-    return n
+    def holds(n):
+        return lhs0 * grow ** (n - w) > rhs0 * bound ** (n - w)
+
+    return _least_multiple_where(holds, (w // d + 1) * d, d)
 
 
 def solve_growth_dominates(cert: GrowthCertificate, bound_base: int, bound_cap: int, j_other: int) -> int:
-    """Smallest certified n0 (multiple of d) such that for all multiples
-    n >= n0:  lam^(n - w') >= 2 * bound_base * bound_cap^(n / j_other),
-    i.e. the certified lower growth dominates another graph's walk-count
-    upper bound. Requires lam^j_other > bound_cap (else CertificationError).
+    """Least multiple n0 > w' of d such that for all multiples n >= n0 of d:
+        lam^(n - w') > 2 * bound_base * U^n,
+    with lam = x / 2^8 and U = u / u_denom a rational upper bound on
+    bound_cap^(1 / j_other) below lam (see ``_step_bound``). Since
+    U^n >= bound_cap^(n / j_other), the certified lower growth then
+    dominates another graph's walk-count upper bound. Requires
+    lam^j_other > bound_cap (else CertificationError). The cleared integer
+    inequality is monotone in n and is searched like
+    ``solve_q_positive_threshold``'s.
     """
     Dx = _STEP_DENOM
-    d, w_prime, x = cert.d, cert.w_prime, cert.x
+    d, w, x = cert.d, cert.w_prime, cert.x
     if bound_cap < 1:
         bound_cap = 1
     if x**j_other <= bound_cap * Dx**j_other:
         raise CertificationError("growth rates do not separate")
-    jo = j_other
-    n = ((w_prime + d) // d) * d
-    lhs = x ** (jo * (n - w_prime))
-    rhs = (2 * bound_base) ** jo * bound_cap**n * Dx ** (jo * (n - w_prime))
-    lhs_step = x ** (jo * d)
-    rhs_step = bound_cap**d * Dx ** (jo * d)
-    iterations = 0
-    while lhs <= rhs:
-        n += d
-        lhs *= lhs_step
-        rhs *= rhs_step
-        iterations += 1
-        if iterations > 500_000:
-            raise CertificationError("domination search exceeded cap")
-    return n
+    u, Du = _step_bound(bound_cap, j_other, x)
+    grow, bound = x * Du, u * Dx
+    lhs0 = Du**w
+    rhs0 = 2 * bound_base * u**w
+
+    def holds(n):
+        return lhs0 * grow ** (n - w) > rhs0 * bound ** (n - w)
+
+    return _least_multiple_where(holds, (w // d + 1) * d, d)
 
 
 def _certified_lps_threshold(g, component, d, core, core_edges, base, w0):

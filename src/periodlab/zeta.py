@@ -8,7 +8,8 @@ integer polynomials, reduced by fraction-free Bareiss elimination.
 
 All arithmetic here is exact: integer polynomials, exact determinants,
 rational functions reduced by a gcd over the integers (a primitive
-pseudo-remainder sequence), and Fraction power series. No floating point
+pseudo-remainder sequence), and power series in ints (Fractions when the
+denominator's constant term is not +-1). No floating point
 anywhere in this module, since zero-testing of sequence terms must be
 exact.
 """
@@ -204,16 +205,19 @@ class RationalFunction:
         return cls(num, den)
 
     def series(self, N: int) -> list:
-        """First N coefficients (Fractions) of the power-series expansion."""
-        b0 = Fraction(self.den.at0())
+        """First N coefficients of the power-series expansion, exact: ints
+        when den(0) = +-1 (then 1 / den(0) = den(0)), Fractions otherwise."""
+        b0 = self.den.at0()
+        inv = b0 if b0 in (1, -1) else Fraction(1, b0)
+        den = [(j, bj) for j, bj in enumerate(self.den.coeffs) if j and bj]
         out = []
         for n in range(N):
-            acc = Fraction(self.num.coeff(n))
-            for j in range(1, n + 1):
-                bj = self.den.coeff(j)
-                if bj:
-                    acc -= bj * out[n - j]
-            out.append(acc / b0)
+            acc = self.num.coeff(n)
+            for j, bj in den:
+                if j > n:
+                    break
+                acc -= bj * out[n - j]
+            out.append(acc * inv)
         return out
 
     def at0(self) -> Fraction:
@@ -283,7 +287,7 @@ def zeta_of_graph(g: DirectedMultigraph) -> RationalFunction:
 
 
 def log_derivative_series(z: RationalFunction, N: int) -> list:
-    """Coefficients p_1..p_N of z'/z, exact Fractions.
+    """Coefficients p_1..p_N of z'/z, exact (see ``RationalFunction.series``).
 
     Requires z(0) = 1 (the zeta normalization); for zeta functions of graphs
     the values are the integer closed-walk counts.
@@ -320,26 +324,26 @@ class LinearRecurrence:
     """
 
     order: int
-    coeffs: tuple  # b_1..b_m as Fractions
-    initial: tuple  # a_0..a_s as Fractions
+    coeffs: tuple  # b_1..b_m: ints when den(0) = +-1, else Fractions
+    initial: tuple  # a_0..a_s, of the same kind
     valid_from: int
 
     def terms(self, N: int) -> list:
-        """a_0..a_N as exact Fractions."""
+        """a_0..a_N, exact (ints or Fractions, like the stored terms)."""
         out = list(self.initial[: N + 1])
-        n = len(out)
-        while n <= N:
-            acc = Fraction(0)
-            for i, b in enumerate(self.coeffs, start=1):
-                if n - i >= 0:
-                    acc -= b * out[n - i]
+        rec = [(i, b) for i, b in enumerate(self.coeffs, start=1) if b]
+        for n in range(len(out), N + 1):
+            acc = 0
+            for i, b in rec:
+                if i > n:
+                    break
+                acc -= b * out[n - i]
             out.append(acc)
-            n += 1
         return out
 
     def reproduces_initial(self) -> bool:
         for n in range(max(self.valid_from, 1), len(self.initial)):
-            acc = Fraction(0)
+            acc = 0
             for i, b in enumerate(self.coeffs, start=1):
                 if n - i >= 0:
                     acc -= b * self.initial[n - i]
@@ -351,10 +355,12 @@ class LinearRecurrence:
 def recurrence_from_rational(f: RationalFunction) -> LinearRecurrence:
     """Read the recurrence off the denominator of a reduced rational
     generating function: order = deg(den), coefficients b_i = den_i / den_0;
-    forward iteration reproduces the series beyond the numerator degree."""
+    forward iteration reproduces the series beyond the numerator degree.
+    With den_0 = +-1 the coefficients and terms are ints."""
     b0 = f.den.at0()
     m = 0 if f.den.is_zero else f.den.degree
-    coeffs = tuple(Fraction(f.den.coeff(i), b0) for i in range(1, m + 1))
+    inv = b0 if b0 in (1, -1) else Fraction(1, b0)
+    coeffs = tuple(f.den.coeff(i) * inv for i in range(1, m + 1))
     num_deg = -1 if f.num.is_zero else f.num.degree
     valid_from = num_deg + 1
     keep = max(valid_from, m, 1)

@@ -33,6 +33,31 @@ def test_iroot_floor(x, k):
     assert r**k <= x < (r + 1) ** k
 
 
+def _bisect_root(x, k):
+    """Floor k-th root by bisection on r**k <= x, as a reference."""
+    lo, hi = 0, 1
+    while hi**k <= x:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 160, 320, 1000])
+def test_iroot_against_bisection(k):
+    # around exact powers, where a seed or step that is one off shows, and
+    # below 2^k, where the root is 0 or 1
+    cases = [1, 2, 3, 2 ** (k - 1) + 1, 2**k - 1]
+    for r in (2, 3, 7, 2**20 + 7, 3**40, 10**30 + 1):
+        cases += [r**k - 1, r**k, r**k + 1]
+    for x in cases:
+        assert iroot(x, k) == _bisect_root(x, k), (x.bit_length(), k)
+
+
 def _assert_least_period(w, p):
     n = len(w)
     assert n % p == 0

@@ -329,6 +329,24 @@ class TestEnvironment:
         code, report = run(capsys, ["analyze", "--input", path, "--horizon", "10"])
         assert code == EXIT_OK
         assert report["oracle_agreement"]["oracle_horizon"] == 4
+        # the flag wins over the environment, and the parser, built once,
+        # reads neither at build time
+        code, report = run(
+            capsys,
+            ["analyze", "--input", path, "--horizon", "10", "--oracle-cap", "6"],
+        )
+        assert report["oracle_agreement"]["oracle_horizon"] == 6
+        monkeypatch.delenv("PERIODLAB_ORACLE_CAP")
+        code, report = run(capsys, ["analyze", "--input", path, "--horizon", "30"])
+        assert report["oracle_agreement"]["oracle_horizon"] == 20
+
+    def test_oracle_cap_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PERIODLAB_ORACLE_CAP", "many")
+        path = write(tmp_path, "gm.json", GOLDEN)
+        code, payload = run(capsys, ["analyze", "--input", path, "--horizon", "4"])
+        assert code == EXIT_PARSE
+        assert payload["error"] == "parse"
+        assert "PERIODLAB_ORACLE_CAP" in payload["detail"]
 
     def test_resource_limit_exit_code(self, tmp_path, capsys):
         from periodlab.cli import EXIT_RESOURCE
@@ -364,6 +382,18 @@ class TestResourceLimits:
             "error": "resource_limit",
             "detail": "threshold search exceeded cap",
         }
+
+    def test_threshold_search_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        from periodlab import sft_counting
+        from periodlab.cli import EXIT_RESOURCE
+
+        # the golden mean's threshold n* = 209 lies 111 steps above the start
+        monkeypatch.setattr(sft_counting, "THRESHOLD_SEARCH_CAP", 8)
+        path = write(tmp_path, "gm.json", GOLDEN)
+        code, payload = run(capsys, ["analyze", "--input", path, "--horizon", "6"])
+        assert code == EXIT_RESOURCE
+        assert payload["error"] == "resource_limit"
+        assert "THRESHOLD_SEARCH_CAP = 8" in payload["detail"]
 
     def test_mobius_cap_exit_code(self, tmp_path, capsys, monkeypatch):
         from periodlab import arith
@@ -437,3 +467,32 @@ class TestInternalError:
         assert code == cli.EXIT_INTERNAL
         assert payload["error"] == "internal"
         assert "witnessed period missing" in payload["detail"]
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exit_code(self, tmp_path, capsys, monkeypatch):
+        from periodlab.cli import EXIT_OUTPUT_CLOSED
+
+        path = write(tmp_path, "gm.json", GOLDEN)
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        code = main(["analyze", "--input", path, "--horizon", "6"])
+        assert code == EXIT_OUTPUT_CLOSED == 7
+        assert capsys.readouterr().err == ""
+
+    def test_closed_stdout_on_an_error_report(self, tmp_path, capsys, monkeypatch):
+        from periodlab.cli import EXIT_OUTPUT_CLOSED
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        code = main(["analyze", "--input", str(tmp_path / "missing.json")])
+        assert code == EXIT_OUTPUT_CLOSED
+        assert capsys.readouterr().err == ""

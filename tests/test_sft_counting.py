@@ -1,14 +1,20 @@
 import random
+from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from periodlab import sft_counting as sc
 from periodlab.graph_core import (
+    component_period,
     enumerate_closed_paths,
+    scc_decompose,
     subdivide_edges,
     trace_power,
 )
+from periodlab.realize import realize_irreducible_sft, realize_reducible_sft
 from periodlab.sft_counting import (
     CountTable,
     ForbiddenWordSpec,
@@ -327,3 +333,126 @@ class TestLpsDescriptor:
 
     def test_certified_flag(self, golden_mean):
         assert lps_descriptor_sft(golden_mean).certified
+
+
+def _certificates(g):
+    """Growth certificates of g's nontrivial components that are not single
+    cycles, built as lps_descriptor_sft builds them."""
+    dec = scc_decompose(g)
+    out = []
+    for i in dec.nontrivial:
+        component = dec.components[i]
+        d = component_period(g, component)
+        core, core_edges, base, w0, _ = sc._return_structure(g, component, d)
+        if not sc._is_single_cycle(core, core_edges):
+            out.append(sc.growth_certificate(g, component, d, core, core_edges, base, w0))
+    return out
+
+
+def _certificate_corpus():
+    rng = random.Random(2718)
+    graphs = [random_graph(rng) for _ in range(20)]
+    for finite, d, tau in (((), 1, 3), ((2,), 1, 4), ((), 2, 3), ((3,), 3, 2)):
+        graphs.append(realize_irreducible_sft(
+            PeriodSetDescriptor.make(finite, [(d, tau, ())], certified=True)))
+    graphs.append(realize_reducible_sft(
+        PeriodSetDescriptor.make((5,), [(2, 3, ()), (3, 2, ())], certified=True)))
+    certs = [c for g in graphs for c in _certificates(g)]
+    assert len(certs) >= 12
+    return certs
+
+
+def _start(cert):
+    """The least multiple of d above w', where both searches start."""
+    return (cert.w_prime // cert.d + 1) * cert.d
+
+
+class TestThresholdSearch:
+    """n* against the 2j-th-power inequality of the growth certificate,
+    written out here in full as an independent reference."""
+
+    @staticmethod
+    def q_bound_2j(cert, n, margin):
+        # lam^(n-w') (rho_low - 1) > margin m W^((n+2)/(2j)), raised to 2j
+        j2, k = 2 * cert.j_upper, n - cert.w_prime
+        lhs = cert.x ** (j2 * k) * (cert.y - 2**16) ** j2
+        rhs = (margin * cert.m) ** j2 * cert.walk_cap ** (n + 2) * 2 ** (8 * j2 * k + 16 * j2)
+        return lhs > rhs
+
+    @staticmethod
+    def q_bound_relaxed(cert, n, margin):
+        # the same with W^(1/(2j)) replaced by the step bound Z
+        lam, rho_low = Fraction(cert.x, 2**8), Fraction(cert.y, 2**16)
+        Z = Fraction(cert.z, cert.z_denom)
+        return lam ** (n - cert.w_prime) * (rho_low - 1) > margin * cert.m * Z ** (n + 2)
+
+    def test_step_bound_is_a_ceiling_root_below_the_growth(self):
+        for cert in _certificate_corpus():
+            j2, Dz = 2 * cert.j_upper, cert.z_denom
+            assert cert.z**j2 >= cert.walk_cap * Dz**j2 > (cert.z - 1) ** j2
+            assert cert.x * Dz > cert.z * 2**8
+
+    def test_q_threshold_certified_and_least(self):
+        for cert in _certificate_corpus():
+            d, n0 = cert.d, _start(cert)
+            for margin in (1, 2):
+                n_star = sc.solve_q_positive_threshold(cert, margin)
+                assert n_star >= n0 and n_star % d == 0
+                for n in (n_star, n_star + d, n_star + 5 * d):
+                    assert self.q_bound_2j(cert, n, margin)
+                    assert self.q_bound_relaxed(cert, n, margin)
+                if n_star > n0:
+                    assert not self.q_bound_relaxed(cert, n_star - d, margin)
+
+    def test_growth_dominates_certified_and_least(self):
+        for cert in _certificate_corpus():
+            d, n0, x = cert.d, _start(cert), cert.x
+            for j_other in (1, 2, 5):
+                cap = max(1, x**j_other // (3 * 2 ** (8 * j_other)))
+                if x**j_other <= cap * 2 ** (8 * j_other):
+                    continue
+                base = 3
+                n_dom = sc.solve_growth_dominates(cert, base, cap, j_other)
+                assert n_dom >= n0 and n_dom % d == 0
+
+                def parent(n):
+                    # lam^(n-w') > 2 base cap^(n / j_other), raised to j_other
+                    k = n - cert.w_prime
+                    return x ** (j_other * k) > (2 * base) ** j_other * cap**n * 2 ** (8 * j_other * k)
+
+                u, Du = sc._step_bound(cap, j_other, x)
+
+                def relaxed(n):
+                    return Fraction(x, 2**8) ** (n - cert.w_prime) > 2 * base * Fraction(u, Du) ** n
+
+                for n in (n_dom, n_dom + d, n_dom + 5 * d):
+                    assert parent(n) and relaxed(n)
+                if n_dom > n0:
+                    assert not relaxed(n_dom - d)
+
+    def test_growth_rates_that_do_not_separate(self, golden_mean):
+        (cert,) = _certificates(golden_mean)
+        cap = cert.x**3 // 2**24 + 1
+        with pytest.raises(sc.CertificationError, match="do not separate"):
+            sc.solve_growth_dominates(cert, 1, cap, 3)
+
+    def test_search_cap(self, golden_mean, monkeypatch):
+        (cert,) = _certificates(golden_mean)
+        steps = (sc.solve_q_positive_threshold(cert) - _start(cert)) // cert.d
+        assert steps > 1
+        monkeypatch.setattr(sc, "THRESHOLD_SEARCH_CAP", steps)
+        assert (sc.solve_q_positive_threshold(cert) - _start(cert)) // cert.d == steps
+        for cap in (steps - 1, 1):
+            monkeypatch.setattr(sc, "THRESHOLD_SEARCH_CAP", cap)
+            with pytest.raises(sc.CertificationError, match="THRESHOLD_SEARCH_CAP"):
+                sc.solve_q_positive_threshold(cert)
+            with pytest.raises(sc.CertificationError, match="THRESHOLD_SEARCH_CAP"):
+                lps_descriptor_sft(golden_mean)
+
+    def test_realization_with_slow_certified_growth(self):
+        # 497 vertices; the certified step growth 261/256 barely exceeds the
+        # walk bound, so n* = 10380 sits far above the true tail start
+        target = PeriodSetDescriptor.make((), [(6, 7, ())], certified=True)
+        g = realize_irreducible_sft(target)
+        assert g.n == 497
+        assert lps_descriptor_sft(g) == target

@@ -287,6 +287,29 @@ class TestRecurrence:
         assert rec.reproduces_initial()
         assert rec.terms(40) == f.series(41)
 
+    def test_integer_and_fraction_paths(self):
+        # ints exactly when den(0) = +-1; the same values as a Fraction
+        # long division either way
+        rng = random.Random(37)
+        for b0 in (1, -1, 2, -3):
+            for _ in range(5):
+                num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+                den = [b0] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+                f = RationalFunction.make(num, den)
+                want = []
+                for n in range(30):
+                    acc = Fraction(f.num.coeff(n))
+                    for j in range(1, n + 1):
+                        acc -= f.den.coeff(j) * want[n - j]
+                    want.append(acc / f.den.at0())
+                series = f.series(30)
+                rec = recurrence_from_rational(f)
+                assert series == want and rec.terms(29) == want
+                unit = f.den.at0() in (1, -1)
+                assert all(isinstance(v, int if unit else Fraction) for v in series)
+                if unit:
+                    assert all(isinstance(v, int) for v in rec.terms(29))
+
     def test_p_sequence_skips_second_reduction(self):
         rng = random.Random(31)
         for _ in range(30):
