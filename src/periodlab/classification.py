@@ -24,6 +24,7 @@ from .graph_core import (
     max_walk_counts,
     scc_decompose,
 )
+from .realize import ShapeError
 from .sft_counting import (
     PeriodSetDescriptor,
     count_table,
@@ -248,7 +249,7 @@ def krieger_check(
         )
         return KriegerVerdict("entropy_fail", reason, N)
     if not _is_mixing(y):
-        raise ValueError("target presentation must be mixing")
+        raise ShapeError("target presentation must be mixing")
     tx = count_table(x, N)
     ty = count_table(y, N)
     for n in range(1, N + 1):

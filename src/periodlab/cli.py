@@ -1,12 +1,13 @@
 """Command-line front end: batch analysis, realization, and verification.
 
-Exit codes: 0 success, 2 parse error, 3 shape rejection, 4 oracle
-disagreement (always a bug, never swallowed), 5 resource limit exceeded
-(a named cap was hit, or a certified tail could not be established within
-the certification caps), 6 internal error (any other exception; a bug),
-7 output closed (stdout's reader went away, as in ``| head``; nothing is
-written to stderr). Reports are deterministic given identical inputs and
-flags, except for the timing field.
+Exit codes: 0 success, 2 parse error, 3 shape rejection (a ShapeError; any
+other ValueError is a bug), 4 oracle disagreement (always a bug, never
+swallowed), 5 resource limit exceeded (a named cap was hit, or a certified
+tail could not be established within the certification caps), 6 internal
+error (any other exception; a bug), 7 output closed (stdout's reader went
+away, as in ``| head``; nothing is written to stderr). Reports are
+deterministic given identical inputs and flags, except for the timing
+field.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from .arith import ResourceLimitExceeded
 from .classification import descriptor_equal, krieger_check
 from .gapshift import GapSet, classify_gap, gap_lps, gap_to_labeled_graph
-from .graph_core import DirectedMultigraph, enumerate_closed_paths
+from .graph_core import DEFAULT_PATH_BUDGET, DirectedMultigraph, enumerate_closed_paths
 from .realize import (
     LpsRequest,
     ShapeError,
@@ -54,6 +55,9 @@ EXIT_INTERNAL = 6
 EXIT_OUTPUT_CLOSED = 7
 
 DEFAULT_ORACLE_CAP = 20
+# largest number a descriptor or gap-set input may hold: the numbers set the
+# cycle lengths, path lengths and torus sides of what is built from them
+INPUT_NUMBER_CAP = 1_000
 
 
 class ParseFailure(Exception):
@@ -89,12 +93,17 @@ def _digest(raw: bytes) -> str:
 
 
 def _load_json(path: str):
+    def no_constant(name):
+        raise ParseFailure(f"{path}: {name} is not a JSON number")
+
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        return raw, json.loads(raw.decode("utf-8"))
+        return raw, json.loads(raw.decode("utf-8"), parse_constant=no_constant)
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseFailure(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseFailure(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -111,6 +120,16 @@ def _from_data(build, *args):
         raise ParseFailure(f"malformed input: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseFailure(f"malformed input: {exc}") from exc
+
+
+def _check_numbers(numbers) -> None:
+    """Refuse an input number above INPUT_NUMBER_CAP as a resource limit,
+    before anything is built from it."""
+    big = max(numbers, default=0)
+    if big > INPUT_NUMBER_CAP:
+        raise ResourceLimitExceeded(
+            f"input number {big} exceeds INPUT_NUMBER_CAP = {INPUT_NUMBER_CAP}"
+        )
 
 
 def detect_kind(data) -> str:
@@ -152,9 +171,17 @@ def _oracle_counts(g: DirectedMultigraph, N: int):
 
 def _analyze_graph(g: DirectedMultigraph, N: int, cap: int, report: RunReport):
     table = count_table(g, N)
+    oracle_n = min(N, cap)
+    # p_1 + ... + p_n is the number of closed paths the oracle would list;
+    # past the budget its enumeration would only fail at the cap, later
+    paths = sum(table.p[:oracle_n])
+    if paths > DEFAULT_PATH_BUDGET:
+        raise ResourceLimitExceeded(
+            f"the oracle would enumerate {paths} closed paths up to n={oracle_n}, "
+            f"more than the path budget DEFAULT_PATH_BUDGET = {DEFAULT_PATH_BUDGET}"
+        )
     ps = ps_descriptor(g)
     lps = lps_descriptor_sft(g)
-    oracle_n = min(N, cap)
     op, oq = _oracle_counts(g, oracle_n)
     p_ok = list(table.p[:oracle_n]) == op
     q_ok = list(table.q[:oracle_n]) == oq
@@ -254,6 +281,7 @@ def cmd_analyze(args) -> RunReport:
             report.outputs["rendered"] = lg.to_dot()
     elif kind == "gap_set":
         s = _from_data(GapSet.from_json, data)
+        _check_numbers([*s.finite, *(x for pair in s.progressions for x in pair)])
         _analyze_gap(s, args.horizon, cap, report)
     else:
         raise ParseFailure(f"analyze does not accept {kind} input")
@@ -286,6 +314,9 @@ def cmd_realize(args) -> RunReport:
     if detect_kind(data) != "descriptor":
         raise ParseFailure("realize needs a descriptor input")
     desc = _from_data(PeriodSetDescriptor.from_json, data)
+    _check_numbers(
+        [*desc.finite_part, *(x for c in desc.components for x in (c.scale, c.threshold))]
+    )
     report = RunReport("realize", _digest(raw), args.horizon)
     request = LpsRequest(desc, args.target)
     request.validate()
@@ -355,10 +386,7 @@ def cmd_embed_check(args) -> RunReport:
     gx = _from_data(DirectedMultigraph.from_json, data_x)
     gy = _from_data(DirectedMultigraph.from_json, data_y)
     report = RunReport("embed-check", _digest(raw_x + raw_y), args.horizon)
-    try:
-        verdict = krieger_check(gx, gy, args.horizon)
-    except ValueError as exc:
-        raise ShapeError(str(exc)) from exc
+    verdict = krieger_check(gx, gy, args.horizon)
     report.outputs["verdict"] = verdict.to_json()
     return report
 
@@ -456,7 +484,7 @@ def _run(argv) -> int:
     except ParseFailure as exc:
         print(json.dumps({"error": "parse", "detail": str(exc)}))
         return EXIT_PARSE
-    except (ShapeError, ValueError) as exc:
+    except ShapeError as exc:
         payload = {"error": "shape", "detail": str(exc)}
         suggestion = getattr(exc, "suggestion", None)
         if suggestion:

@@ -119,10 +119,13 @@ class GapSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "GapSet":
-        return cls.make(
+        s = cls.make(
             data.get("finite", ()),
             [(p["a"], p["r"]) for p in data.get("progressions", ())],
         )
+        if s.is_empty:
+            raise ValueError("gap set must be nonempty")
+        return s
 
 
 def classify_gap(s: GapSet) -> str:

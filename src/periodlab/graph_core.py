@@ -92,10 +92,15 @@ class DirectedMultigraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "DirectedMultigraph":
-        return cls.build(
+        g = cls.build(
             data["vertices"],
             [(e["from"], e["to"], e["id"]) for e in data["edges"]],
         )
+        if not all(isinstance(v, str) for v in g.vertices) or not all(
+            isinstance(e, str) for (_s, _t, e) in g.edges
+        ):
+            raise ValueError("vertex and edge ids must be strings")
+        return g
 
     def to_dot(self, labels=None) -> str:
         lines = ["digraph {"]

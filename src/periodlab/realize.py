@@ -34,7 +34,8 @@ TARGETS = (
 
 
 class ShapeError(ValueError):
-    """Request does not fit the target construction's admissible shapes."""
+    """Request does not fit the admissible shapes of its construction or
+    check; the CLI reports it as a shape rejection (exit 3)."""
 
     def __init__(self, message, suggestion=None):
         super().__init__(message)
@@ -48,7 +49,9 @@ class LpsRequest:
 
     def __post_init__(self):
         if self.target not in TARGETS:
-            raise ValueError(f"unknown target {self.target!r}")
+            raise ShapeError(
+                f"unknown target {self.target!r}; expected one of {', '.join(TARGETS)}"
+            )
 
     def validate(self):
         check_target_shape(self.descriptor, self.target)
@@ -402,9 +405,9 @@ def realize_arbitrary(S, *, infinite: bool | None = None, horizon: int = 256) ->
             infinite = False
         horizon = max(horizon, elements[-1] if elements else 0)
     if not elements:
-        raise ValueError("the realized set must be nonempty")
+        raise ShapeError(f"the realized set has no member up to {horizon}")
     if elements[0] < 1:
-        raise ValueError("least periods are positive")
+        raise ShapeError("least periods are positive")
     if not infinite:
         branch = "finite"
     elif elements[0] == 1:

@@ -47,6 +47,8 @@ class ForbiddenWordSpec:
     def __post_init__(self):
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
+        if not all(isinstance(a, str) for a in self.alphabet):
+            raise ValueError("alphabet symbols must be strings")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate alphabet symbol")
         seen = set()

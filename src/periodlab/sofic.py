@@ -8,19 +8,24 @@ unique-preimage decomposition of the least-period set.
 
 A periodic point of the presented shift is the bi-infinite repetition of a
 word w; it belongs to the shift iff the transition relation of w has a
-cycle. A relation is stored as one int bitmask row per source vertex (bit y
-of v's row: a w-labeled path v -> y), so a step is an OR of per-symbol
-successor masks and the cycle test peels a mask. Words of one length are
-grouped by relation, so period counts, and through Möbius inversion the
-least-period set, come from one pass over the relation classes, which also
-supplies the witness words. The layer analysis walks the Lyndon words of
-the shift (one per periodic orbit) in a single depth-first search; a period
-no class representative carries gets the first Lyndon word of a search to
-that length alone. Two presentations of the same point are *mutually
-separated* when they occupy distinct vertices at every time; the layer-i
-graph tracks i-sets of vertices joined by injective label-respecting
-matchings, so a point has >= i mutually separated presentations exactly
-when some layer-i walk carries its label.
+cycle. A relation is a pair of flat tuples (sources, row_ids): the source
+vertices with a nonempty row, ascending, and the ids of their rows (bit y
+of v's row: a w-labeled path v -> y), interned per presentation by its
+:class:`RelationEngine`. Each symbol has a row table that steps a row the
+first time it meets it and keeps the result, so a relation step is one
+table lookup per row; the subset construction steps its subsets through
+the same tables. Words of one length are grouped by relation, so period
+counts, and through Möbius inversion the least-period set, come from one
+pass over the relation classes, which also supplies the witness words. The
+layer analysis walks the Lyndon words of the shift (one per periodic orbit)
+in a single depth-first search and extends each word's relation in a
+higher layer from that of its longest prefix shared with the word before;
+a period no class representative carries gets the first Lyndon word of a
+search to that length alone. Two presentations of the same point are
+*mutually separated* when they occupy distinct vertices at every time; the
+layer-i graph tracks i-sets of vertices joined by injective
+label-respecting matchings, so a point has >= i mutually separated
+presentations exactly when some layer-i walk carries its label.
 
 The relation-class pass, the Lyndon-word search, the layer analysis, the
 language-inclusion check and the transition-monoid count are bounded by the
@@ -30,8 +35,9 @@ module constants below; passing one raises :class:`ResourceLimitExceeded`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from itertools import combinations, compress
+from operator import or_
 
 from .arith import ResourceLimitExceeded, least_rotation_period, min_rotation
 from .graph_core import DirectedMultigraph, essential_subgraph, scc_decompose
@@ -48,7 +54,7 @@ def as_word(w) -> tuple:
 
 
 def word_str(w) -> str:
-    return "".join(str(a) for a in w)
+    return "".join(map(str, w))
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,11 @@ class LabeledGraph:
     @cached_property
     def alphabet(self) -> tuple:
         return tuple(sorted({s for (_, s) in self.labels}))
+
+    @cached_property
+    def relations(self) -> "RelationEngine":
+        """Row tables of this presentation's transition relations."""
+        return RelationEngine(self.step_masks, self.graph.n)
 
     @cached_property
     def step_masks(self) -> dict:
@@ -103,10 +114,7 @@ class LabeledGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "LabeledGraph":
-        g = DirectedMultigraph.build(
-            data["vertices"],
-            [(e["from"], e["to"], e["id"]) for e in data["edges"]],
-        )
+        g = DirectedMultigraph.from_json(data)
         return cls.build(g, {e["id"]: e["label"] for e in data["edges"]})
 
     def to_dot(self) -> str:
@@ -122,12 +130,22 @@ class LabeledGraph:
 
 # -- transition relations ------------------------------------------------------
 #
-# The relation of a word w is a tuple of (v, row) pairs, one per source vertex
-# v with a nonempty row, in ascending v; bit y of the int ``row`` is set when
-# there is a w-labeled path from v to y. Equal relations are equal tuples, so
-# relations key dicts directly. Appending a symbol ORs that symbol's successor
-# masks over the set bits of each row. The bi-infinite repetition of w lies in
-# the shift exactly when the relation, viewed as a digraph, has a cycle.
+# The relation of a word w is a pair of flat tuples (sources, row_ids).
+# ``sources`` are the vertices v with a nonempty row, ascending, and
+# ``row_ids[k]`` names the row of sources[k]: the int bitmask with bit y set
+# when there is a w-labeled path from sources[k] to y. Rows are interned per
+# presentation by its RelationEngine (id 0 is the empty row, ids 1..n the
+# single vertices), so equal relations are equal tuple pairs and key dicts
+# directly.
+#
+# Each symbol a has a row table, row id -> id of the row one a-step on. A
+# missing entry is filled once, by OR-ing a's successor masks over the set
+# bits of the row; the same row meets the same symbol again and again, so a
+# relation step is then one C-level lookup per row, plus dropping the rows
+# that became empty. The bi-infinite repetition of w lies in the shift
+# exactly when the relation, viewed as a digraph, has a cycle.
+
+EMPTY_RELATION = ((), ())
 
 
 def _bits(mask: int):
@@ -138,34 +156,90 @@ def _bits(mask: int):
         mask ^= low
 
 
-def relation_identity(n: int) -> tuple:
-    return tuple((v, 1 << v) for v in range(n))
+def _intern(rows: list, ids: dict, row: int) -> int:
+    """Id of ``row``, appended to ``rows`` (id -> row) when new."""
+    rid = ids.get(row)
+    if rid is None:
+        rid = ids[row] = len(rows)
+        rows.append(row)
+    return rid
 
 
-def relation_step(rel: tuple, succ: tuple) -> tuple:
-    """Relation of w·a from that of w; ``succ[x]`` is the successor mask of
-    vertex x on the symbol a."""
-    out = []
-    for v, row in rel:
+class _RowTable(dict):
+    """Row id -> row id of one symbol's step. A row met for the first time
+    is stepped by the bit loop, and its image is interned. The table holds
+    the engine's row list and id map, not the engine, so no reference cycle
+    keeps a presentation's tables alive after it is dropped."""
+
+    __slots__ = ("succ", "rows", "ids")
+
+    def __missing__(self, rid: int) -> int:
+        row = self.rows[rid]
+        succ = self.succ
         acc = 0
         while row:
             low = row & -row
             acc |= succ[low.bit_length() - 1]
             row ^= low
-        if acc:
-            out.append((v, acc))
-    return tuple(out)
+        out = self[rid] = _intern(self.rows, self.ids, acc)
+        return out
 
 
-def relation_has_cycle(rel: tuple) -> bool:
-    """Does the relation digraph contain a cycle?  Peels vertices without an
-    alive successor or an alive predecessor until nothing changes."""
+class RelationEngine:
+    """Interned rows and per-symbol row tables of one presentation, with
+    the identity relation and a memo of cycle tests by relation. A caller
+    steps relations with a table's bound ``__getitem__`` (see
+    :func:`relation_step`), taken once per pass."""
+
+    def __init__(self, step_masks: dict, n: int):
+        self.rows = [0] + [1 << v for v in range(n)]  # row id -> mask
+        self.ids = {row: rid for rid, row in enumerate(self.rows)}
+        self.tables = {}
+        for a, succ in step_masks.items():
+            table = self.tables[a] = _RowTable()
+            table.succ, table.rows, table.ids = succ, self.rows, self.ids
+        self.identity = (tuple(range(n)), tuple(range(1, n + 1)))
+        self.cycles: dict = {}  # relation -> does it have a cycle?
+
+    def intern(self, row: int) -> int:
+        return _intern(self.rows, self.ids, row)
+
+    def row_masks(self, row_ids: tuple) -> tuple:
+        return tuple(map(self.rows.__getitem__, row_ids))
+
+    def has_cycle(self, rel: tuple) -> bool:
+        cyc = self.cycles.get(rel)
+        if cyc is None:
+            cyc = self.cycles[rel] = relation_has_cycle(
+                rel[0], self.row_masks(rel[1])
+            )
+        return cyc
+
+
+def relation_step(rel: tuple, step) -> tuple:
+    """Relation of w·a from that of w; ``step`` is the bound ``__getitem__``
+    of a's row table."""
+    sources, row_ids = rel
+    ids = tuple(map(step, row_ids))
+    if 0 in ids:
+        return tuple(compress(sources, ids)), tuple(filter(None, ids))
+    return sources, ids
+
+
+def relation_has_cycle(sources, rows) -> bool:
+    """Does the digraph with an edge v -> y for each bit y of the row of
+    source v contain a cycle?  Peels vertices without an alive successor or
+    an alive predecessor until nothing changes."""
     alive = 0
-    for v, _row in rel:
+    for v in sources:
         alive |= 1 << v
+    # rows that reach no source leave no edge, as in most relations of a
+    # class pass on a realized presentation
+    if not reduce(or_, rows, 0) & alive:
+        return False
     while alive:
         keep = hit = 0
-        for v, row in rel:
+        for v, row in zip(sources, rows):
             if alive >> v & 1:
                 row &= alive
                 if row:
@@ -178,22 +252,22 @@ def relation_has_cycle(rel: tuple) -> bool:
     return False
 
 
-def word_relation(masks: dict, n_vertices: int, w) -> tuple:
-    rel = relation_identity(n_vertices)
+def word_relation(lg: LabeledGraph, w) -> tuple:
+    engine = lg.relations
+    rel = engine.identity
     for a in w:
-        succ = masks.get(a)
-        if succ is None:
-            return ()
-        rel = relation_step(rel, succ)
-        if not rel:
+        table = engine.tables.get(a)
+        if table is None:
+            return EMPTY_RELATION
+        rel = relation_step(rel, table.__getitem__)
+        if not rel[0]:
             break
     return rel
 
 
 def periodic_point_in_shift(lg: LabeledGraph, w) -> bool:
     """Is the bi-infinite repetition of w a point of the presented shift?"""
-    rel = word_relation(lg.step_masks, lg.graph.n, as_word(w))
-    return relation_has_cycle(rel)
+    return lg.relations.has_cycle(word_relation(lg, as_word(w)))
 
 
 def _lyndon_words_in_shift(lg: LabeledGraph, N: int):
@@ -209,31 +283,42 @@ def _lyndon_words_in_shift(lg: LabeledGraph, N: int):
     Lyndon when p = len(w)) and prunes a word whose relation is empty.
     Spends at most WORD_BUDGET relation steps.
     """
-    nv = lg.graph.n
-    if nv == 0 or N < 1:
+    if lg.graph.n == 0 or N < 1:
         return
-    masks = lg.step_masks
+    engine = lg.relations
     alphabet = lg.alphabet
-    succs = [masks[a] for a in alphabet]
+    steps = [engine.tables[a].__getitem__ for a in alphabet]
+    cycles = engine.cycles
     spent = 0
     # (word as symbol indices, longest Lyndon prefix length, relation)
-    stack = [((), 1, relation_identity(nv))]
+    stack = [((), 1, engine.identity)]
     while stack:
         w, p, rel = stack.pop()
         t = len(w)
-        if t and p == t and relation_has_cycle(rel):
-            yield tuple(alphabet[i] for i in w), rel
+        if t and p == t:
+            cyc = cycles.get(rel)  # engine.has_cycle's memo, read directly
+            if cyc is None:
+                cyc = engine.has_cycle(rel)
+            if cyc:
+                yield tuple(map(alphabet.__getitem__, w)), rel
         if t == N:
             continue
         low = w[t - p] if t else 0
+        sources, row_ids = rel
         children = []
         for i in range(low, len(alphabet)):
             spent += 1
             if spent > WORD_BUDGET:
                 raise ResourceLimitExceeded("periodic word sweep budget exceeded")
-            nxt = relation_step(rel, succs[i])
-            if nxt:
-                children.append((w + (i,), p if i == low else t + 1, nxt))
+            # relation_step, inlined as in sofic_period_counts
+            ids = tuple(map(steps[i], row_ids))
+            if 0 in ids:
+                nxt = tuple(compress(sources, ids)), tuple(filter(None, ids))
+                if not nxt[0]:
+                    continue
+            else:
+                nxt = sources, ids
+            children.append((w + (i,), p if i == low else t + 1, nxt))
         stack.extend(reversed(children))
 
 
@@ -246,22 +331,28 @@ def sofic_period_counts(lg: LabeledGraph, N: int):
     in the relation-class structure, not in the word count. More than
     RELATION_CLASS_CAP classes at one length is a resource limit.
     """
-    nv = lg.graph.n
-    masks = lg.step_masks
-    alphabet = lg.alphabet
     p = [0] * N
     witnesses: dict = {}
-    if nv == 0:
+    if lg.graph.n == 0:
         return p, witnesses
-    level = {relation_identity(nv): [1, ()]}
-    cycle_memo: dict = {}
+    engine = lg.relations
+    steps = [(a, engine.tables[a].__getitem__) for a in lg.alphabet]
+    cycles = engine.cycles
+    level = {engine.identity: [1, ()]}
     for n in range(1, N + 1):
         nxt: dict = {}
         for rel, (cnt, rep) in level.items():
-            for a in alphabet:
-                r2 = relation_step(rel, masks[a])
-                if not r2:
-                    continue
+            sources, row_ids = rel
+            for a, step in steps:
+                # relation_step, inlined: on a small presentation the call
+                # would cost more than the step
+                ids = tuple(map(step, row_ids))
+                if 0 in ids:
+                    r2 = tuple(compress(sources, ids)), tuple(filter(None, ids))
+                    if not r2[0]:
+                        continue
+                else:
+                    r2 = sources, ids
                 slot = nxt.get(r2)
                 if slot is None:
                     nxt[r2] = [cnt, rep + (a,)]
@@ -272,10 +363,9 @@ def sofic_period_counts(lg: LabeledGraph, N: int):
             raise ResourceLimitExceeded("relation-class cap exceeded")
         total = 0
         for rel, (cnt, rep) in level.items():
-            cyc = cycle_memo.get(rel)
+            cyc = cycles.get(rel)  # engine.has_cycle's memo, read directly
             if cyc is None:
-                cyc = relation_has_cycle(rel)
-                cycle_memo[rel] = cyc
+                cyc = engine.has_cycle(rel)
             if cyc:
                 total += cnt
                 rho = least_rotation_period(rep)
@@ -383,29 +473,29 @@ class DeterministicPresentation:
 
 def _subset_automaton(lg: LabeledGraph):
     """Subset construction seeded at the full vertex set: states are
-    frozensets of vertices, transitions per symbol by the union step."""
-    masks = lg.step_masks
+    frozensets of vertices, transitions per symbol by the union step (a
+    row-table lookup, the subset being a row)."""
     nv = lg.graph.n
-    full = frozenset(range(nv))
     if nv == 0:
         return {}, []
-    trans: dict = {}
+    engine = lg.relations
+    steps = [(a, engine.tables[a].__getitem__) for a in lg.alphabet]
+    full = engine.intern((1 << nv) - 1)
+    moves = []  # (state, symbol, state) as row ids, in discovery order
     stack = [full]
     seen = {full}
     while stack:
         cur = stack.pop()
-        for a in lg.alphabet:
-            succ = masks[a]
-            acc = 0
-            for v in cur:
-                acc |= succ[v]
-            nxt = frozenset(_bits(acc))
+        for a, step in steps:
+            nxt = step(cur)
             if nxt:
-                trans[(cur, a)] = nxt
+                moves.append((cur, a, nxt))
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-    return trans, sorted(seen, key=sorted)
+    subset = {rid: frozenset(_bits(engine.rows[rid])) for rid in seen}
+    trans = {(subset[q], a): subset[t] for (q, a, t) in moves}
+    return trans, sorted(subset.values(), key=sorted)
 
 
 def _trim_automaton(states, trans):
@@ -771,11 +861,11 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
         raise ResourceLimitExceeded(
             f"layer analysis needs <= {LAYER_MAX_STATES} states, got {nv}"
         )
-    layers: dict = {}  # i -> _layer_masks of the layer-i presentation
+    layers: dict = {}  # i -> (_PrefixRelations, components) of layer i
 
     def layer(i):
         if i not in layers:
-            layers[i] = _layer_masks(lg if i == 1 else layer_graph(lg, i).lg)
+            layers[i] = _layer_relations(lg if i == 1 else layer_graph(lg, i).lg)
         return layers[i]
 
     supports: dict = {}
@@ -784,20 +874,23 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
         n = len(w)
         sep = 1
         rel_at_sep = rel1
-        i = 2
-        while i <= nv:
-            masks, n_i, _comps = layer(i)
-            rel = word_relation(masks, n_i, w)
-            if relation_has_cycle(rel):
-                sep = i
-                rel_at_sep = rel
-                i += 1
-            else:
+        for i in range(2, nv + 1):
+            prefixes = layer(i)[0]
+            rel = prefixes.relation(w)
+            if not prefixes.engine.has_cycle(rel):
                 break
-        comps = _cycle_components(rel_at_sep, layer(sep)[2])
-        for j in comps:
+            sep = i
+            rel_at_sep = rel
+        prefixes, comps = layer(sep)
+        if len(comps) == 1:  # rel_at_sep has a cycle, so it lies in this one
+            found = {comps[0][0]}
+        else:
+            found = _cycle_components(
+                rel_at_sep[0], prefixes.engine.row_masks(rel_at_sep[1]), comps
+            )
+        for j in found:
             supports.setdefault((sep, j), set()).add(n)
-        witnesses.append((n, word_str(w), sep, min(comps)))
+        witnesses.append((n, word_str(w), sep, min(found)))
     return LayerDecomposition(
         N,
         tuple(sorted((k, frozenset(v)) for k, v in supports.items())),
@@ -805,10 +898,38 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
     )
 
 
-def _layer_masks(base: LabeledGraph) -> tuple:
-    """(step masks, vertex count, ((j, vertex mask), ...)) of a layer
-    presentation, one (j, mask) per nontrivial component j of its SCC
-    decomposition."""
+class _PrefixRelations:
+    """Relations of the prefixes of the last word asked for, in one
+    presentation; the next word starts from the longest prefix the two
+    share. The layer analysis asks for Lyndon words in lexicographic order,
+    so consecutive words share most of their prefixes."""
+
+    def __init__(self, engine: RelationEngine):
+        self.engine = engine
+        self.steps = {a: table.__getitem__ for a, table in engine.tables.items()}
+        self.word: tuple = ()
+        self.rels = [engine.identity]  # rels[k]: relation of word[:k]
+
+    def relation(self, w: tuple) -> tuple:
+        k = 0
+        for a, b in zip(self.word, w):
+            if a != b:
+                break
+            k += 1
+        del self.rels[k + 1:]
+        rel = self.rels[k]
+        steps = self.steps
+        for a in w[k:]:
+            step = steps.get(a)
+            rel = EMPTY_RELATION if step is None else relation_step(rel, step)
+            self.rels.append(rel)
+        self.word = w
+        return rel
+
+
+def _layer_relations(base: LabeledGraph) -> tuple:
+    """(prefix relations, ((j, vertex mask), ...)) of a layer presentation,
+    one (j, mask) per nontrivial component j of its SCC decomposition."""
     g = base.graph
     dec = scc_decompose(g)
     comps = []
@@ -817,17 +938,21 @@ def _layer_masks(base: LabeledGraph) -> tuple:
         for v in dec.components[j]:
             mask |= 1 << g.index[v]
         comps.append((j, mask))
-    return base.step_masks, g.n, tuple(comps)
+    return _PrefixRelations(base.relations), tuple(comps)
 
 
-def _cycle_components(rel, comps) -> set:
-    """Layer components (``comps`` as from :func:`_layer_masks`) containing
-    a cycle of the word relation. A relation cycle is a closed walk of the
-    layer graph, so it never leaves one nontrivial component: each is
-    tested on the relation restricted to its mask."""
+def _cycle_components(sources, rows, comps) -> set:
+    """Layer components (``comps`` as from :func:`_layer_relations`)
+    containing a cycle of the relation with row masks ``rows``. A relation
+    cycle is a closed walk of the layer graph, so it never leaves one
+    nontrivial component: each is tested on the relation restricted to its
+    mask."""
     out = set()
     for j, mask in comps:
-        sub = tuple((v, row & mask) for v, row in rel if mask >> v & 1)
-        if relation_has_cycle(sub):
+        inside = [mask >> v & 1 for v in sources]
+        if relation_has_cycle(
+            tuple(compress(sources, inside)),
+            [row & mask for row in compress(rows, inside)],
+        ):
             out.add(j)
     return out

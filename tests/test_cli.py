@@ -1,10 +1,14 @@
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from periodlab.cli import (
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_RESOURCE,
     EXIT_SHAPE,
     detect_kind,
     main,
@@ -119,6 +123,24 @@ class TestAnalyze:
         assert payload["error"] == "parse"
         assert "missing vertex" in payload["detail"]
 
+    def test_malformed_values_are_parse_errors(self, tmp_path, capsys):
+        cases = [
+            ({"vertices": [1, 2], "edges": [{"id": "e", "from": 1, "to": 2}]}, "strings"),
+            ({"alphabet": [0, "1"], "forbidden": []}, "strings"),
+            ({"finite": [], "progressions": []}, "nonempty"),
+        ]
+        for payload, detail in cases:
+            path = write(tmp_path, "bad.json", payload)
+            code, out = run(capsys, ["analyze", "--input", path])
+            assert code == EXIT_PARSE, payload
+            assert detail in out["detail"]
+        # Python's json module reads NaN and Infinity, which JSON has not
+        path = tmp_path / "inf.json"
+        path.write_text('{"finite": [Infinity], "progressions": []}')
+        code, out = run(capsys, ["analyze", "--input", str(path)])
+        assert code == EXIT_PARSE
+        assert "Infinity is not a JSON number" in out["detail"]
+
     def test_zero_horizon_is_parse_error(self, tmp_path, capsys):
         path = write(tmp_path, "gm.json", GOLDEN)
         code, payload = run(capsys, ["analyze", "--input", path, "--horizon", "0"])
@@ -207,6 +229,45 @@ class TestRealize:
             ],
         )
         assert code == EXIT_OK and report["outputs"]["round_trip"] is True
+
+    def test_unknown_target_is_a_shape_rejection(self, tmp_path, capsys):
+        path = write(tmp_path, "d3.json", {"finite": [3], "components": []})
+        code, payload = run(
+            capsys, ["realize", "--input", path, "--target", "torus"]
+        )
+        assert code == EXIT_SHAPE
+        assert payload["error"] == "shape"
+        assert "unknown target 'torus'" in payload["detail"]
+
+    def test_no_member_within_the_handle_horizon(self, tmp_path, capsys):
+        # at INPUT_NUMBER_CAP the number is accepted, and the arbitrary
+        # subshift's handle, enumerated to 64, holds no member
+        from periodlab.cli import INPUT_NUMBER_CAP
+
+        path = write(tmp_path, "far.json", {"finite": [INPUT_NUMBER_CAP], "components": []})
+        code, payload = run(
+            capsys, ["realize", "--input", path, "--target", "arbitrary_subshift"]
+        )
+        assert code == EXIT_SHAPE
+        assert "no member up to 64" in payload["detail"]
+
+    def test_input_number_cap(self, tmp_path, capsys):
+        from periodlab.cli import INPUT_NUMBER_CAP
+
+        big = INPUT_NUMBER_CAP + 1
+        cases = [
+            (
+                ["realize", "--target", "irreducible_sft"],
+                {"finite": [], "components": [{"d": 2, "threshold": big}]},
+            ),
+            (["analyze"], {"finite": [1], "progressions": [{"a": 2, "r": big}]}),
+        ]
+        for argv, payload in cases:
+            path = write(tmp_path, "big.json", payload)
+            code, out = run(capsys, argv + ["--input", path])
+            assert code == EXIT_RESOURCE
+            assert out["error"] == "resource_limit"
+            assert f"input number {big} exceeds INPUT_NUMBER_CAP" in out["detail"]
 
     def test_arbitrary_target(self, tmp_path, capsys):
         path = write(
@@ -349,8 +410,6 @@ class TestEnvironment:
         assert "PERIODLAB_ORACLE_CAP" in payload["detail"]
 
     def test_resource_limit_exit_code(self, tmp_path, capsys):
-        from periodlab.cli import EXIT_RESOURCE
-
         dense = {
             "vertices": ["v"],
             "edges": [
@@ -364,6 +423,23 @@ class TestEnvironment:
         )
         assert code == EXIT_RESOURCE
         assert payload["error"] == "resource_limit"
+        # refused from p_1 + ... + p_9 = 12 + ... + 12^9, before enumerating
+        assert "5628851292 closed paths up to n=9" in payload["detail"]
+        assert "DEFAULT_PATH_BUDGET = 2000000" in payload["detail"]
+
+    def test_oracle_path_budget_boundary(self, tmp_path, capsys, monkeypatch):
+        from periodlab import cli
+
+        # the golden mean has p_1 + ... + p_10 = 319 closed paths
+        path = write(tmp_path, "gm.json", GOLDEN)
+        argv = ["analyze", "--input", path, "--horizon", "10"]
+        monkeypatch.setattr(cli, "DEFAULT_PATH_BUDGET", 319)
+        code, report = run(capsys, argv)
+        assert code == EXIT_OK and report["oracle_agreement"]["p_counts"] is True
+        monkeypatch.setattr(cli, "DEFAULT_PATH_BUDGET", 318)
+        code, payload = run(capsys, argv)
+        assert code == EXIT_RESOURCE
+        assert "319 closed paths up to n=10" in payload["detail"]
 
 
 class TestResourceLimits:
@@ -453,6 +529,24 @@ class TestInternalError:
         assert "in broken" in captured.err
         assert captured.err.rstrip().endswith("RuntimeError: unexpected state")
 
+    def test_internal_value_error_is_not_a_shape_rejection(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from periodlab import cli
+
+        def broken(g, N):
+            raise ValueError("bug in the count table")
+
+        monkeypatch.setattr(cli, "count_table", broken)
+        path = write(tmp_path, "gm.json", GOLDEN)
+        code = main(["analyze", "--input", path, "--horizon", "4"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL
+        assert json.loads(captured.out) == {
+            "error": "internal",
+            "detail": "ValueError: bug in the count table",
+        }
+
     def test_witness_assertion_exit_code(self, tmp_path, capsys, monkeypatch):
         # a class representative whose period the exact count misses is a
         # bug in the counting pass, reported as an internal error
@@ -496,3 +590,107 @@ class TestBrokenPipe:
         code = main(["analyze", "--input", str(tmp_path / "missing.json")])
         assert code == EXIT_OUTPUT_CLOSED
         assert capsys.readouterr().err == ""
+
+
+# -- fuzzing --------------------------------------------------------------------
+
+FUZZ_BASES = [
+    ("analyze", GOLDEN),
+    ("analyze", EVEN),
+    ("analyze", {"finite": [1], "progressions": [{"a": 2, "r": 3}]}),
+    ("analyze", {"alphabet": ["0", "1"], "forbidden": [["1", "1"]]}),
+    ("realize", {"finite": [3], "components": [], "certified": True}),
+    (
+        "realize",
+        {"finite": [5], "components": [{"d": 2, "threshold": 3, "extras": [1]}]},
+    ),
+    ("layers", EVEN),
+]
+FUZZ_TARGETS = [
+    "irreducible_sft",
+    "reducible_sft",
+    "irreducible_sofic",
+    "arbitrary_subshift",
+    "period_set_variant",
+    "no_such_target",
+]
+WRONG_TYPES = [None, True, "x", 1.5, [], {}, [1], {"a": 1}]
+ODD_NUMBERS = [-7, -1, 0, 10**6, 10**12, 2**64]
+
+
+def json_paths(x, prefix=()):
+    """Every position in a JSON value, the value itself first."""
+    yield prefix
+    if isinstance(x, dict):
+        items = x.items()
+    elif isinstance(x, list):
+        items = enumerate(x)
+    else:
+        return
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutate(draw, doc):
+    """One mutation: a dropped field or element, a value of the wrong type,
+    a negative or huge number, or an edge endpoint naming no vertex."""
+    kind = draw(st.sampled_from(["drop", "wrong_type", "number", "dangling"]))
+    if kind == "dangling":
+        ends = [
+            p
+            for p in json_paths(doc)
+            if len(p) == 3 and p[0] == "edges" and p[2] in ("from", "to")
+        ]
+        if ends:
+            end = draw(st.sampled_from(ends))
+            doc["edges"][end[1]][end[2]] = "ghost"
+            return doc
+        kind = "number"
+    paths = list(json_paths(doc))
+    if kind == "number":
+        # numbers go where numbers are, when there are any
+        numeric = [p for p in paths if type(value_at(doc, p)) is int]
+        paths = numeric or paths
+    path = draw(st.sampled_from(paths))
+    if not path:
+        return doc if kind == "drop" else draw(st.sampled_from(WRONG_TYPES + ODD_NUMBERS))
+    parent = value_at(doc, path[:-1])
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "wrong_type":
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(WRONG_TYPES)))
+    else:
+        parent[path[-1]] = draw(st.sampled_from(ODD_NUMBERS))
+    return doc
+
+
+class TestFuzz:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_inputs(self, tmp_path, capsys, data):
+        # every mutated input ends in a documented exit code that is not an
+        # internal error, with exactly one JSON value on stdout
+        command, base = data.draw(st.sampled_from(FUZZ_BASES))
+        doc = copy.deepcopy(base)
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = mutate(data.draw, doc)
+        path = write(tmp_path, "fuzz.json", doc)
+        argv = [command, "--input", path, "--horizon", str(data.draw(st.integers(1, 5)))]
+        if command == "realize":
+            argv += ["--target", data.draw(st.sampled_from(FUZZ_TARGETS))]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_SHAPE, EXIT_RESOURCE), (argv, doc, out)
+        json.loads(out)

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -113,37 +114,85 @@ def reference_products(lg, N):
     return out
 
 
-class TestRelationEngine:
-    """The bitmask relation engine against 0/1 matrix products."""
+def decode(lg, rel):
+    """The (v, y) pairs of an engine relation: a labeled path from v to y."""
+    sources, row_ids = rel
+    rows = lg.relations.row_masks(row_ids)
+    return {
+        (v, y) for v, row in zip(sources, rows) for y in range(lg.graph.n) if row >> y & 1
+    }
 
-    def cases(self):
-        rng = random.Random(404)
-        out = [(random_labeled(rng, max_states=4), 7) for _ in range(10)]
-        out += [(random_labeled(rng, max_states=3, alphabet="012"), 5) for _ in range(6)]
-        big = realize_sofic(
-            PeriodSetDescriptor.make({1}, [(2, 2, ())], certified=True)
-        )
-        assert big.graph.n > 64
-        out.append((big, 7))
-        return out
+
+def reference_class_pass(lg, N, products, nonnil):
+    """The relation-class pass on label-matrix products: the words of each
+    length grouped by product, each class keeping the first word the pass
+    meets; p_n counts the words in classes with a non-nilpotent product,
+    and each such class's first word names a witness for its least period."""
+    p, witnesses = [], {}
+    level = {(): [1, ()]}
+    for _ in range(N):
+        nxt = {}
+        for cnt, rep in level.values():
+            for a in lg.alphabet:
+                w = rep + (a,)
+                M = products[w]
+                if not any(any(row) for row in M):
+                    continue
+                key = tuple(map(tuple, M))
+                if key in nxt:
+                    nxt[key][0] += cnt
+                else:
+                    nxt[key] = [cnt, w]
+        level = nxt
+        total = 0
+        for cnt, rep in level.values():
+            if nonnil[rep]:
+                total += cnt
+                rho = least_rotation_period(rep)
+                witnesses.setdefault(rho, "".join(min_rotation(rep[:rho])))
+        p.append(total)
+    return p, witnesses
+
+
+@functools.cache
+def engine_cases():
+    """(presentation, N, word -> label-matrix product, word -> product not
+    nilpotent) for the relation-engine tests, one >64-vertex case included."""
+    rng = random.Random(404)
+    out = [(random_labeled(rng, max_states=4), 7) for _ in range(10)]
+    out += [(random_labeled(rng, max_states=3, alphabet="012"), 5) for _ in range(6)]
+    big = realize_sofic(PeriodSetDescriptor.make({1}, [(2, 2, ())], certified=True))
+    assert big.graph.n > 64
+    out.append((big, 7))
+    cases = []
+    for lg, N in out:
+        products = reference_products(lg, N)
+        nonnil = {w: not is_nilpotent(M) for w, M in products.items()}
+        cases.append((lg, N, products, nonnil))
+    return tuple(cases)
+
+
+class TestRelationEngine:
+    """The interned-row relation engine against 0/1 matrix products."""
 
     def test_against_matrix_products(self):
-        for lg, N in self.cases():
-            products = reference_products(lg, N)
+        for lg, N, products, nonnil in engine_cases():
             lyndon = []
             for w, M in sorted(products.items()):
                 pairs = {
                     (i, j) for i, row in enumerate(M) for j, x in enumerate(row) if x
                 }
-                rel = sofic.word_relation(lg.step_masks, lg.graph.n, w)
-                got = {(v, y) for (v, row) in rel for y in range(lg.graph.n) if row >> y & 1}
-                assert got == pairs, (lg.to_json(), w)
-                assert all(row for (_v, row) in rel)
-                nonnil = not is_nilpotent(M)
-                assert sofic.relation_has_cycle(rel) == nonnil, (lg.to_json(), w)
-                assert periodic_point_in_shift(lg, w) == nonnil
+                rel = sofic.word_relation(lg, w)
+                assert decode(lg, rel) == pairs, (lg.to_json(), w)
+                sources, row_ids = rel
+                assert list(sources) == sorted(set(sources))
+                assert len(row_ids) == len(sources) and 0 not in row_ids
+                rows = lg.relations.row_masks(row_ids)
+                assert sofic.relation_has_cycle(sources, rows) == nonnil[w], (lg.to_json(), w)
+                assert lg.relations.has_cycle(rel) == nonnil[w]
+                assert periodic_point_in_shift(lg, w) == nonnil[w]
                 if (
-                    nonnil
+                    nonnil[w]
                     and least_rotation_period(w) == len(w)
                     and min_rotation(w) == w
                 ):
@@ -151,7 +200,37 @@ class TestRelationEngine:
             found = list(sofic._lyndon_words_in_shift(lg, N))
             assert [w for (w, _rel) in found] == lyndon, lg.to_json()
             for w, rel in found:
-                assert rel == sofic.word_relation(lg.step_masks, lg.graph.n, w)
+                assert rel == sofic.word_relation(lg, w)
+
+    def test_period_counts_against_matrix_products(self):
+        # p_n is the number of length-n words whose product is not nilpotent
+        for lg, N, _products, nonnil in engine_cases():
+            p, _witnesses = sofic_period_counts(lg, N)
+            want = [
+                sum(1 for w, x in nonnil.items() if len(w) == n and x)
+                for n in range(1, N + 1)
+            ]
+            assert p == want, lg.to_json()
+
+    def test_witnesses_against_reference_class_pass(self):
+        # the same classes, met in the same order, give the same witness
+        # words, in the same insertion order
+        for lg, N, products, nonnil in engine_cases():
+            p, witnesses = sofic_period_counts(lg, N)
+            ref_p, ref_witnesses = reference_class_pass(lg, N, products, nonnil)
+            assert p == ref_p
+            assert list(witnesses.items()) == list(ref_witnesses.items()), lg.to_json()
+
+    def test_prefix_relations_against_word_relation(self):
+        # words asked for in any order, sharing prefixes or not, and with a
+        # symbol the presentation does not carry
+        rng = random.Random(505)
+        for _ in range(8):
+            lg = random_labeled(rng, max_states=4, alphabet="012")
+            prefixes = sofic._PrefixRelations(lg.relations)
+            for _ in range(60):
+                w = tuple(rng.choice("0123") for _ in range(rng.randint(0, 7)))
+                assert prefixes.relation(w) == sofic.word_relation(lg, w), (lg.to_json(), w)
 
     def test_cycle_components_against_transitive_closure(self):
         rng = random.Random(606)
@@ -160,22 +239,21 @@ class TestRelationEngine:
         for lg, N in cases:
             for i in range(1, lg.graph.n + 1):
                 layer = lg if i == 1 else layer_graph(lg, i).lg
-                comps = sofic._layer_masks(layer)[2]
+                comps = sofic._layer_relations(layer)[1]
                 dec = scc_decompose(layer.graph)
                 by_index = layer.graph.by_index
                 for w, M in reference_products(layer, N).items():
-                    rel = tuple(
-                        (v, sum(1 << y for y, x in enumerate(row) if x))
-                        for v, row in enumerate(M)
-                        if any(row)
-                    )
+                    sources = tuple(v for v, row in enumerate(M) if any(row))
+                    rows = [
+                        sum(1 << y for y, x in enumerate(M[v]) if x) for v in sources
+                    ]
                     want = {
                         j
                         for v in on_relation_cycle(M)
                         for j, comp in enumerate(dec.components)
                         if by_index[v] in comp
                     }
-                    assert sofic._cycle_components(rel, comps) == want, (
+                    assert sofic._cycle_components(sources, rows, comps) == want, (
                         lg.to_json(), i, w,
                     )
 
@@ -195,8 +273,10 @@ class TestRelationEngine:
         )
         dec = scc_decompose(lg.graph)
         comp_of = {v: j for j, comp in enumerate(dec.components) for v in comp}
-        rel = sofic.word_relation(lg.step_masks, lg.graph.n, "a")
-        got = sofic._cycle_components(rel, sofic._layer_masks(lg)[2])
+        sources, row_ids = sofic.word_relation(lg, "a")
+        got = sofic._cycle_components(
+            sources, lg.relations.row_masks(row_ids), sofic._layer_relations(lg)[1]
+        )
         assert got == {comp_of["A"], comp_of["C"]}
 
     def test_lyndon_search_respects_budget(self, full_shift_cover, monkeypatch):
