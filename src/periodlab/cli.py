@@ -22,10 +22,10 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from .arith import ResourceLimitExceeded
+from .arith import ResourceLimitExceeded, word_least_period
 from .classification import descriptor_equal, krieger_check
 from .gapshift import GapSet, classify_gap, gap_lps, gap_to_labeled_graph
-from .graph_core import DEFAULT_PATH_BUDGET, DirectedMultigraph, enumerate_closed_paths
+from .graph_core import DEFAULT_PATH_BUDGET, DirectedMultigraph, iter_closed_paths
 from .realize import (
     LpsRequest,
     ShapeError,
@@ -160,12 +160,13 @@ def detect_kind(data) -> str:
 
 def _oracle_counts(g: DirectedMultigraph, N: int):
     """Brute-force closed-path counts and least-period classification."""
-    paths = enumerate_closed_paths(g, N)
-    p = [len(paths[n]) for n in range(1, N + 1)]
-    q = [
-        sum(1 for c in paths[n] if c.least_period() == n)
-        for n in range(1, N + 1)
-    ]
+    p = [0] * N
+    q = [0] * N
+    for _start, path in iter_closed_paths(g, N):
+        n = len(path)
+        p[n - 1] += 1
+        if word_least_period(path) == n:
+            q[n - 1] += 1
     return p, q
 
 

@@ -295,31 +295,58 @@ def trace_power(g: DirectedMultigraph, n: int) -> int:
     return sum(p[i][i] for i in range(g.n))
 
 
-def enumerate_closed_paths(
+def iter_closed_paths(
     g: DirectedMultigraph, N: int, max_total: int = DEFAULT_PATH_BUDGET
-) -> dict:
-    """Complete list of closed edge-paths of each length n <= N.
+):
+    """Yield ``(start index, edge-id tuple)`` for every closed edge-path of
+    length n <= N: by start vertex index, then in depth-first order of the
+    out-edges.
 
-    The count for each n equals ``trace_power(g, n)``. Raises
-    :class:`ResourceLimitExceeded` when the sweep would record more than
-    ``max_total`` paths; an empty result is returned as empty lists.
+    A walk from s is extended only along an edge whose target can still
+    get back to s within N steps in all, read off reverse-BFS distances to
+    s (radius N), so every walk visited is a prefix of a closed path and a
+    dead end costs nothing. The depth-first search keeps its own stack: its
+    depth N comes from the caller. Raises :class:`ResourceLimitExceeded`
+    past ``max_total`` paths or ``50 * max_total`` visited walks.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    result: dict = {k: [] for k in range(1, N + 1)}
     adj = g.out_adj
+    pred: list = [[] for _ in adj]
+    for u, out in enumerate(adj):
+        for t, _ in out:
+            pred[t].append(u)
     total = 0
     visits = 0
     visit_budget = 50 * max_total
+    far = N + 1
     for s in range(g.n):
-        start_id = g.by_index[s]
+        dist = [far] * g.n
+        dist[s] = 0
+        frontier = [s]
+        for r in range(1, N + 1):
+            reached = []
+            for v in frontier:
+                for u in pred[v]:
+                    if dist[u] == far:
+                        dist[u] = r
+                        reached.append(u)
+            if not reached:
+                break
+            frontier = reached
+        # out-edges that can still close, each with the longest walk it
+        # may extend and leave room to get back to s
+        live = [
+            [(t, eid, N - dist[t]) for t, eid in out if dist[t] < N]
+            for out in adj
+        ]
         path: list[str] = []
-        # stack of iterators over out-edges
-        stack = [iter(adj[s])]
+        stack = [iter(live[s])]
         while stack:
-            it = stack[-1]
-            step = next(it, None)
-            if step is None:
+            for target, eid, room in stack[-1]:
+                if len(path) < room:
+                    break
+            else:
                 stack.pop()
                 if path:
                     path.pop()
@@ -329,7 +356,6 @@ def enumerate_closed_paths(
                 raise ResourceLimitExceeded(
                     f"path sweep visit budget exceeded at N={N}"
                 )
-            target, eid = step
             path.append(eid)
             if target == s:
                 total += 1
@@ -337,11 +363,29 @@ def enumerate_closed_paths(
                     raise ResourceLimitExceeded(
                         f"more than {max_total} closed paths at N={N}"
                     )
-                result[len(path)].append(Cycle(start_id, tuple(path)))
+                yield s, tuple(path)
             if len(path) < N:
-                stack.append(iter(adj[target]))
+                stack.append(iter(live[target]))
             else:
                 path.pop()
+
+
+def enumerate_closed_paths(
+    g: DirectedMultigraph, N: int, max_total: int = DEFAULT_PATH_BUDGET
+) -> dict:
+    """Complete list of closed edge-paths of each length n <= N, as
+    :class:`Cycle` objects in :func:`iter_closed_paths` order.
+
+    The count for each n equals ``trace_power(g, n)``. The search walks
+    only prefixes of closed paths (see :func:`iter_closed_paths`), and
+    raises :class:`ResourceLimitExceeded` when it would record more than
+    ``max_total`` paths or visit more than ``50 * max_total`` walks; an
+    empty result is returned as empty lists.
+    """
+    result: dict = {k: [] for k in range(1, N + 1)}
+    ids = g.by_index
+    for s, path in iter_closed_paths(g, N, max_total):
+        result[len(path)].append(Cycle(ids[s], path))
     return result
 
 
@@ -556,6 +600,38 @@ def basepoint_return_attained(core, core_edges, base, N: int) -> bytearray:
                     break
         layers[ell % window] = cur
         out[ell] = 1 if cur[b] else 0
+    return out
+
+
+def core_max_walk_counts(core, core_edges, J: int) -> list:
+    """[W_1 .. W_J] of ``max_walk_counts`` for the irreducible component
+    whose weighted core this is, by a window DP over the core alone.
+
+    A walk from a core vertex takes a core edge of weight w to its far end,
+    or ends inside its chain in one way when fewer than w steps remain. A
+    chain vertex i steps before core vertex v starts count_(j - i)(v) walks
+    of length j > i, and count_(j - i)(v) <= count_j(v) because counts
+    never fall with length when every vertex has an out-edge; so the
+    maximum over the component is the maximum over the core.
+    """
+    k = len(core)
+    idx = {v: i for i, v in enumerate(core)}
+    grouped: list = [[] for _ in range(k)]
+    max_w = 1
+    for u, v, w in core_edges:
+        grouped[idx[u]].append((idx[v], w))
+        max_w = max(max_w, w)
+    window = max_w + 1
+    # a slot not yet written holds 1: the walks of length <= 0
+    layers = [[1] * k for _ in range(window)]
+    out = []
+    for ell in range(1, J + 1):
+        cur = [
+            sum(layers[(ell - w) % window][x] for x, w in grouped[y])
+            for y in range(k)
+        ]
+        layers[ell % window] = cur
+        out.append(max(cur))
     return out
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, log2
 
-from .arith import divisors, iroot, lcm, mobius
+from . import arith
+from .arith import ResourceLimitExceeded, iroot, lcm
 from .graph_core import (
     DirectedMultigraph,
     basepoint_return_attained,
@@ -22,8 +23,8 @@ from .graph_core import (
     component_walk_counts,
     contract_chains,
     closed_walk_counts,
+    core_max_walk_counts,
     essential_subgraph,
-    max_walk_counts,
     scc_decompose,
 )
 
@@ -130,10 +131,25 @@ class CountTable:
 
 
 def mobius_invert(p: list) -> list:
-    """q_n = sum_{k|n} mu(n/k) p_k, for n = 1..len(p)."""
-    q = []
-    for n in range(1, len(p) + 1):
-        q.append(sum(mobius(n // k) * p[k - 1] for k in divisors(n)))
+    """q_n = sum_{k|n} mu(n/k) p_k, for n = 1..len(p), by a sieve.
+
+    Since p_n = sum_{k|n} q_k, q starts as p and each q_e, final once every
+    proper divisor of e has been subtracted, is subtracted from every
+    multiple of e. Capped at ``arith.MOBIUS_CAP``, read at call time; the
+    error names the first n past the cap.
+    """
+    N = len(p)
+    cap = arith.MOBIUS_CAP
+    if N > cap:
+        raise ResourceLimitExceeded(
+            f"mobius horizon cap exceeded: {cap + 1} > {cap}"
+        )
+    q = list(p)
+    for e in range(1, N // 2 + 1):
+        qe = q[e - 1]
+        if qe:
+            for m in range(2 * e - 1, N, e):
+                q[m] -= qe
     return q
 
 
@@ -497,7 +513,7 @@ def growth_certificate(g, component, d, core, core_edges, base, w0) -> GrowthCer
     bound Z is then fitted between walk_cap^(1/(2j)) and x / 2^8."""
     m = len(component)
     Dx, Dy = _STEP_DENOM, _ROOT_DENOM
-    walk_caps = max_walk_counts(g, component, 160)
+    walk_caps = core_max_walk_counts(core, core_edges, 160)
     best_j, best_wlog = None, None
     for j in range(1, len(walk_caps) + 1):
         wlog = log2(walk_caps[j - 1]) / j
@@ -638,11 +654,10 @@ def lps_descriptor_sft(g: DirectedMultigraph) -> PeriodSetDescriptor:
             continue
         tau = _certified_lps_threshold(g, component, d, core, core_edges, base, w0)
         if tau > 1:
-            p = component_walk_counts(g, component, d * (tau - 1))
+            q = mobius_invert(component_walk_counts(g, component, d * (tau - 1)))
             extras = set()
             for k in range(1, tau):
-                n = d * k
-                qn = sum(mobius(n // e) * p[e - 1] for e in divisors(n))
+                qn = q[d * k - 1]
                 if qn < 0:
                     raise AssertionError("negative least-period count")
                 if qn > 0:

@@ -151,6 +151,20 @@ class TestAnalyze:
         assert code == EXIT_PARSE
         assert "--oracle-cap" in payload["detail"]
 
+    def test_deep_oracle(self, tmp_path, capsys):
+        # the oracle's search is as deep as min(horizon, --oracle-cap), which
+        # a recursive search could not reach
+        loop = {"vertices": ["v"], "edges": [{"id": "a", "from": "v", "to": "v"}]}
+        path = write(tmp_path, "loop.json", loop)
+        code, report = run(
+            capsys,
+            ["analyze", "--input", path, "--horizon", "3000", "--oracle-cap", "3000"],
+        )
+        assert code == EXIT_OK
+        agreement = report["oracle_agreement"]
+        assert agreement.pop("oracle_horizon") == 3000
+        assert agreement and all(v is True for v in agreement.values())
+
     def test_determinism(self, tmp_path, capsys):
         path = write(tmp_path, "gm.json", GOLDEN)
         code1, r1 = run(capsys, ["analyze", "--input", path, "--horizon", "8"])

@@ -9,9 +9,12 @@ from periodlab.graph_core import (
     closed_walk_counts,
     component_period,
     component_walk_counts,
+    contract_chains,
+    core_max_walk_counts,
     disjoint_union,
     enumerate_closed_paths,
     essential_subgraph,
+    max_walk_counts,
     scc_decompose,
     subdivide_edges,
     trace_power,
@@ -214,6 +217,54 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitExceeded):
             enumerate_closed_paths(full_two_shift, 20, max_total=100)
 
+    def test_visit_budget(self):
+        # every walk visited closes, but the 100 starts of a 100-cycle
+        # visit 100 walks each for one path: 50 * max_total runs out first
+        with pytest.raises(ResourceLimitExceeded, match="visit budget"):
+            enumerate_closed_paths(cycle_graph(100), 100, max_total=100)
+        paths = enumerate_closed_paths(cycle_graph(100), 100, max_total=200)
+        assert len(paths[100]) == 100
+
+    def test_dead_ends_cost_nothing(self):
+        # a self-loop feeding an 8-layer, 4-wide DAG that never returns: 4^8
+        # walks leave r for every closed path, so an unpruned search runs
+        # past the visit budget
+        vertices = ["r"] + [f"x{i}.{j}" for i in range(8) for j in range(4)]
+        edges = [("r", "r", "loop")] + [("r", f"x0.{j}", f"in{j}") for j in range(4)]
+        for i in range(7):
+            for j in range(4):
+                for k in range(4):
+                    edges.append((f"x{i}.{j}", f"x{i + 1}.{k}", f"f{i}.{j}.{k}"))
+        g = build_graph(vertices, edges)
+        paths = enumerate_closed_paths(g, 12, max_total=100)
+        assert [len(paths[n]) for n in range(1, 13)] == [1] * 12
+        assert [len(paths[n]) for n in range(1, 13)] == [
+            trace_power(g, n) for n in range(1, 13)
+        ]
+        assert paths[5] == [Cycle("r", ("loop",) * 5)]
+
+    def test_order_matches_unpruned_search(self):
+        def unpruned(g, N):
+            out = {n: [] for n in range(1, N + 1)}
+
+            def walk(s, v, path):
+                for t, eid in g.out_adj[v]:
+                    path.append(eid)
+                    if t == s:
+                        out[len(path)].append(Cycle(g.by_index[s], tuple(path)))
+                    if len(path) < N:
+                        walk(s, t, path)
+                    path.pop()
+
+            for s in range(g.n):
+                walk(s, s, [])
+            return out
+
+        rng = random.Random(41)
+        for _ in range(25):
+            g = random_graph(rng, max_vertices=6, max_edges=10, horizon=9)
+            assert enumerate_closed_paths(g, 9) == unpruned(g, 9)
+
     def test_least_period_of_cycle(self):
         assert Cycle("a", ("x", "y", "x", "y")).least_period() == 2
         assert Cycle("a", ("x", "y", "z")).least_period() == 3
@@ -268,3 +319,34 @@ def test_concurrent_use_is_safe(golden_mean):
         descs = list(pool.map(lambda _: lps_descriptor_sft(golden_mean), range(16)))
     assert all(t == expected_table for t in tables)
     assert all(d == expected_desc for d in descs)
+
+
+class TestCoreWalkCaps:
+    """``core_max_walk_counts`` on a component's weighted core against
+    ``max_walk_counts`` over the whole component."""
+
+    @staticmethod
+    def check(g):
+        dec = scc_decompose(g)
+        for i in dec.nontrivial:
+            comp = dec.components[i]
+            core, core_edges = contract_chains(g, comp)
+            assert core_max_walk_counts(core, core_edges, 160) == max_walk_counts(
+                g, comp, 160
+            )
+        return len(dec.nontrivial)
+
+    def test_random_graphs(self):
+        rng = random.Random(97)
+        assert sum(self.check(random_graph(rng)) for _ in range(40)) >= 30
+
+    def test_realizations(self):
+        from periodlab.realize import realize_irreducible_sft
+        from periodlab.sft_counting import PeriodSetDescriptor
+
+        for d in (1, 2, 3, 4, 6):
+            for finite, tau in (((), 2), ((2,), 5), ((1, 3), 7)):
+                desc = PeriodSetDescriptor.make(
+                    [d * f for f in finite], [(d, tau, ())], certified=True
+                )
+                assert self.check(realize_irreducible_sft(desc)) == 1

@@ -123,6 +123,26 @@ class TestCountTable:
             for n in range(1, 21):
                 assert t.p_at(n) == sum(t.q_at(k) for k in divisors(n))
 
+    def test_mobius_invert_against_mobius_sum(self):
+        from periodlab.arith import divisors, mobius
+
+        rng = random.Random(59)
+        for _ in range(60):
+            p = [rng.randint(-50, 50) for _ in range(rng.randint(0, 60))]
+            assert sc.mobius_invert(p) == [
+                sum(mobius(n // k) * p[k - 1] for k in divisors(n))
+                for n in range(1, len(p) + 1)
+            ]
+
+    def test_mobius_invert_cap(self, monkeypatch):
+        from periodlab import arith
+        from periodlab.arith import ResourceLimitExceeded
+
+        monkeypatch.setattr(arith, "MOBIUS_CAP", 5)
+        assert sc.mobius_invert([1] * 5) == [1, 0, 0, 0, 0]
+        with pytest.raises(ResourceLimitExceeded, match="mobius"):
+            sc.mobius_invert([1] * 6)
+
     def test_csv(self, golden_mean):
         csv = count_table(golden_mean, 2).to_csv()
         assert csv.splitlines() == ["n,p,q", "1,1,1", "2,3,2"]
