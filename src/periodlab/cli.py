@@ -22,10 +22,14 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from .arith import ResourceLimitExceeded, word_least_period
+from .arith import ResourceLimitExceeded
 from .classification import descriptor_equal, krieger_check
 from .gapshift import GapSet, classify_gap, gap_lps, gap_to_labeled_graph
-from .graph_core import DEFAULT_PATH_BUDGET, DirectedMultigraph, iter_closed_paths
+from .graph_core import (
+    DEFAULT_PATH_BUDGET,
+    DirectedMultigraph,
+    lyndon_closed_path_counts,
+)
 from .realize import (
     LpsRequest,
     ShapeError,
@@ -159,14 +163,15 @@ def detect_kind(data) -> str:
 
 
 def _oracle_counts(g: DirectedMultigraph, N: int):
-    """Brute-force closed-path counts and least-period classification."""
+    """Brute-force closed-path counts and least-period classification, from
+    one Lyndon closed path per periodic orbit: q_n = n * L_n and p_n is the
+    sum of e * L_e over the divisors e of n."""
+    L = lyndon_closed_path_counts(g, N)
+    q = [n * count for n, count in enumerate(L, start=1)]
     p = [0] * N
-    q = [0] * N
-    for _start, path in iter_closed_paths(g, N):
-        n = len(path)
-        p[n - 1] += 1
-        if word_least_period(path) == n:
-            q[n - 1] += 1
+    for e, orbit_points in enumerate(q, start=1):
+        for n in range(e, N + 1, e):
+            p[n - 1] += orbit_points
     return p, q
 
 

@@ -14,6 +14,7 @@ the dense matrix powers in the test suite).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -295,51 +296,67 @@ def trace_power(g: DirectedMultigraph, n: int) -> int:
     return sum(p[i][i] for i in range(g.n))
 
 
-def iter_closed_paths(
-    g: DirectedMultigraph, N: int, max_total: int = DEFAULT_PATH_BUDGET
-):
-    """Yield ``(start index, edge-id tuple)`` for every closed edge-path of
-    length n <= N: by start vertex index, then in depth-first order of the
-    out-edges.
+def _return_distances(pred, s: int, N: int) -> list:
+    """Reverse-BFS distances to s, radius N; a vertex farther away (or
+    unable to reach s) holds N + 1."""
+    far = N + 1
+    dist = [far] * len(pred)
+    dist[s] = 0
+    frontier = [s]
+    for r in range(1, N + 1):
+        reached = []
+        for v in frontier:
+            for u in pred[v]:
+                if dist[u] == far:
+                    dist[u] = r
+                    reached.append(u)
+        if not reached:
+            break
+        frontier = reached
+    return dist
 
-    A walk from s is extended only along an edge whose target can still
-    get back to s within N steps in all, read off reverse-BFS distances to
-    s (radius N), so every walk visited is a prefix of a closed path and a
-    dead end costs nothing. The depth-first search keeps its own stack: its
-    depth N comes from the caller. Raises :class:`ResourceLimitExceeded`
-    past ``max_total`` paths or ``50 * max_total`` visited walks.
+
+def _predecessors(g: DirectedMultigraph) -> list:
+    pred: list = [[] for _ in range(g.n)]
+    for u, out in enumerate(g.out_adj):
+        for t, _ in out:
+            pred[t].append(u)
+    return pred
+
+
+def enumerate_closed_paths(
+    g: DirectedMultigraph, N: int, max_total: int = DEFAULT_PATH_BUDGET
+) -> dict:
+    """Complete list of closed edge-paths of each length n <= N, as
+    :class:`Cycle` objects: by start vertex index, then in depth-first
+    order of the out-edges.
+
+    The count for each n equals ``trace_power(g, n)``. A walk from s is
+    extended only along an edge whose target can still get back to s
+    within N steps in all, read off reverse-BFS distances to s (radius N),
+    so every walk visited is a prefix of a closed path and a dead end
+    costs nothing. The depth-first search keeps its own stack: its depth N
+    comes from the caller. Raises :class:`ResourceLimitExceeded` when it
+    would record more than ``max_total`` paths or visit more than
+    ``50 * max_total`` walks; an empty result is returned as empty lists.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    result: dict = {k: [] for k in range(1, N + 1)}
     adj = g.out_adj
-    pred: list = [[] for _ in adj]
-    for u, out in enumerate(adj):
-        for t, _ in out:
-            pred[t].append(u)
+    pred = _predecessors(g)
     total = 0
     visits = 0
     visit_budget = 50 * max_total
-    far = N + 1
     for s in range(g.n):
-        dist = [far] * g.n
-        dist[s] = 0
-        frontier = [s]
-        for r in range(1, N + 1):
-            reached = []
-            for v in frontier:
-                for u in pred[v]:
-                    if dist[u] == far:
-                        dist[u] = r
-                        reached.append(u)
-            if not reached:
-                break
-            frontier = reached
+        dist = _return_distances(pred, s, N)
         # out-edges that can still close, each with the longest walk it
         # may extend and leave room to get back to s
         live = [
             [(t, eid, N - dist[t]) for t, eid in out if dist[t] < N]
             for out in adj
         ]
+        start = g.by_index[s]
         path: list[str] = []
         stack = [iter(live[s])]
         while stack:
@@ -363,30 +380,91 @@ def iter_closed_paths(
                     raise ResourceLimitExceeded(
                         f"more than {max_total} closed paths at N={N}"
                     )
-                yield s, tuple(path)
+                result[len(path)].append(Cycle(start, tuple(path)))
             if len(path) < N:
                 stack.append(iter(live[target]))
             else:
                 path.pop()
-
-
-def enumerate_closed_paths(
-    g: DirectedMultigraph, N: int, max_total: int = DEFAULT_PATH_BUDGET
-) -> dict:
-    """Complete list of closed edge-paths of each length n <= N, as
-    :class:`Cycle` objects in :func:`iter_closed_paths` order.
-
-    The count for each n equals ``trace_power(g, n)``. The search walks
-    only prefixes of closed paths (see :func:`iter_closed_paths`), and
-    raises :class:`ResourceLimitExceeded` when it would record more than
-    ``max_total`` paths or visit more than ``50 * max_total`` walks; an
-    empty result is returned as empty lists.
-    """
-    result: dict = {k: [] for k in range(1, N + 1)}
-    ids = g.by_index
-    for s, path in iter_closed_paths(g, N, max_total):
-        result[len(path)].append(Cycle(ids[s], path))
     return result
+
+
+def lyndon_closed_path_counts(
+    g: DirectedMultigraph, N: int, max_total: int = DEFAULT_PATH_BUDGET
+) -> list:
+    """[L_1 .. L_N]: L_n counts the closed edge-paths of length n whose edge
+    sequence, with edges ranked by their position in ``g.edges``, is a
+    Lyndon word; one per periodic orbit of least period n.
+
+    Every closed path of length n is a rotation of a power of exactly one
+    Lyndon closed path, so p_n = sum of e * L_e over e | n and q_n =
+    n * L_n, with no least-period test per path. For each edge r0, taken
+    as the least edge of the word, a depth-first search from r0's source
+    extends only prenecklaces (Fredricksen-Kessler-Maiorana): the next
+    edge's rank is at least ``word[t - p]``, p the length of the longest
+    Lyndon prefix, and a word closing with p equal to its length is
+    counted. As in :func:`enumerate_closed_paths`, a walk is extended only
+    where its target can still get back to the start within N, so every
+    walk visited here is one that search visits too. The search keeps its
+    own stack and raises :class:`ResourceLimitExceeded` past ``max_total``
+    Lyndon paths or ``50 * max_total`` visited walks.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    idx = g.index
+    out: list = [[] for _ in range(g.n)]
+    for rank, (src, dst, _eid) in enumerate(g.edges):
+        out[idx[src]].append((rank, idx[dst]))
+    pred = _predecessors(g)
+    L = [0] * N
+    total = 0
+    visits = 0
+    visit_budget = 50 * max_total
+    for s in range(g.n):
+        dist = _return_distances(pred, s, N)
+        # per vertex, ascending by rank: out-edges that can still close,
+        # each with the longest walk it may extend
+        live = [
+            [(rank, t, N - dist[t]) for rank, t in edges if dist[t] < N]
+            for edges in out
+        ]
+        live_ranks = [[e[0] for e in edges] for edges in live]
+        word: list[int] = []
+        # each frame: the candidate edges for the next position, and the
+        # length p of the longest Lyndon prefix of the word so far (0 for
+        # the empty word, whose candidates are every first edge r0)
+        stack = [(iter(live[s]), 0)]
+        while stack:
+            candidates, p = stack[-1]
+            t = len(word)
+            for rank, target, room in candidates:
+                if t < room:
+                    break
+            else:
+                stack.pop()
+                if word:
+                    word.pop()
+                continue
+            visits += 1
+            if visits > visit_budget:
+                raise ResourceLimitExceeded(
+                    f"orbit search visit budget exceeded at N={N}"
+                )
+            if not p or rank != word[t - p]:
+                p = t + 1
+            word.append(rank)
+            if p == t + 1 and target == s:
+                L[t] += 1
+                total += 1
+                if total > max_total:
+                    raise ResourceLimitExceeded(
+                        f"more than {max_total} Lyndon closed paths at N={N}"
+                    )
+            if t + 1 < N:
+                lo = bisect_left(live_ranks[target], word[t + 1 - p])
+                stack.append((iter(live[target][lo:]), p))
+            else:
+                word.pop()
+    return L
 
 
 def essential_subgraph(g: DirectedMultigraph) -> DirectedMultigraph:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import lcm, least_rotation_period
+from .arith import ResourceLimitExceeded, lcm, least_rotation_period
 from .graph_core import DirectedMultigraph, disjoint_union, subdivide_edges
 from .sft_counting import PeriodSetDescriptor
 from .sofic import LabeledGraph
@@ -31,6 +31,11 @@ TARGETS = (
     "arbitrary_subshift",
     "period_set_variant",
 )
+
+# largest sofic realization built, in vertices, summed from the planned
+# sections before any is built; the CLI's round-trip check of a realization
+# costs far more than building it, and grows faster than its size
+REALIZE_VERTEX_CAP = 20_000
 
 
 class ShapeError(ValueError):
@@ -237,11 +242,14 @@ def realize_sofic(desc: PeriodSetDescriptor) -> LabeledGraph:
     Scaled tails d*(N + k) are carried by torus sections over the words
     u_i = 1^(2i) 0^(d_i (k_i+1) - 2i) and v_i = 1^(2i+1) 0^(d_i (k_i+2) - 2i - 1);
     the finitely many set members no torus covers get cycle sections labeled
-    by repeated 1 0^(j-1); all section roots are identified.
+    by repeated 1 0^(j-1); all section roots are identified. Raises
+    :class:`ResourceLimitExceeded` before building any section when the
+    result would have more than ``REALIZE_VERTEX_CAP`` vertices.
     """
     check_target_shape(desc, "irreducible_sofic")
     if desc.is_finite:
         d = min(desc.finite_part)
+        _check_realize_size(d)
         vertices, edges, labels, _root = _cycle_section(d, 1)
         return LabeledGraph.build(
             DirectedMultigraph.build(vertices, edges), labels
@@ -266,7 +274,8 @@ def realize_sofic(desc: PeriodSetDescriptor) -> LabeledGraph:
     def in_target(x):
         return x >= floor and x % step == 0
 
-    sections = []
+    # each section is planned, with its vertex count, before any is built
+    plan = []
     words = []
     for idx, (d, k) in enumerate(comps, start=1):
         u = "1" * (2 * idx) + "0" * (d * (k + 1) - 2 * idx)
@@ -276,7 +285,7 @@ def realize_sofic(desc: PeriodSetDescriptor) -> LabeledGraph:
             t += 1
             if t > 4 * d_star * (k_star + 2):
                 raise AssertionError("no valid torus multiplicity found")
-        sections.append(_torus_section(idx, t, u, v))
+        plan.append((_torus_section, (idx, t, u, v), t * t * (len(u) + len(v) - 1)))
         words.append((len(u), len(v)))
     bound = max(
         [d * (k + 1) * (k + 2) for (d, k) in comps] + [max(pool, default=0)]
@@ -295,9 +304,12 @@ def realize_sofic(desc: PeriodSetDescriptor) -> LabeledGraph:
             c += 1
             if c * j > 8 * (floor + step) * (j + 1):
                 raise AssertionError("no valid cycle multiplicity found")
-        sections.append(_cycle_section(j, c))
+        plan.append((_cycle_section, (j, c), c * j))
+    # every section's root is the one shared root
+    _check_realize_size(1 + sum(size - 1 for _build, _args, size in plan))
     vertices, edges, labels = ["root"], [], {}
-    for sec_vertices, sec_edges, sec_labels, root in sections:
+    for build, args, _size in plan:
+        sec_vertices, sec_edges, sec_labels, root = build(*args)
         rename = {root: "root"}
         for v in sec_vertices:
             if v != root:
@@ -306,6 +318,16 @@ def realize_sofic(desc: PeriodSetDescriptor) -> LabeledGraph:
             edges.append((rename.get(src, src), rename.get(dst, dst), eid))
         labels.update(sec_labels)
     return LabeledGraph.build(DirectedMultigraph.build(vertices, edges), labels)
+
+
+def _check_realize_size(vertices: int) -> None:
+    """Refuse a sofic realization of more than REALIZE_VERTEX_CAP vertices,
+    before any section is built."""
+    if vertices > REALIZE_VERTEX_CAP:
+        raise ResourceLimitExceeded(
+            f"the sofic realization would have {vertices} vertices, more than "
+            f"REALIZE_VERTEX_CAP = {REALIZE_VERTEX_CAP}"
+        )
 
 
 # -- arbitrary least-period sets ------------------------------------------------

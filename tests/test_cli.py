@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from periodlab.cli import (
     EXIT_OK,
+    EXIT_ORACLE,
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_SHAPE,
@@ -165,6 +167,31 @@ class TestAnalyze:
         assert agreement.pop("oracle_horizon") == 3000
         assert agreement and all(v is True for v in agreement.values())
 
+    @pytest.mark.parametrize("field", ["p", "q"])
+    def test_oracle_disagreement_exit_code(self, tmp_path, capsys, monkeypatch, field):
+        # the golden mean's p_3 = 4 or q_3 = 3, raised by one, stays
+        # positive, so only the comparison with the oracle's counts fails
+        from periodlab import cli
+        from periodlab.sft_counting import count_table
+
+        def skewed_table(g, N):
+            table = count_table(g, N)
+            values = list(getattr(table, field))
+            values[2] += 1
+            return dataclasses.replace(table, **{field: tuple(values)})
+
+        monkeypatch.setattr(cli, "count_table", skewed_table)
+        path = write(tmp_path, "gm.json", GOLDEN)
+        code = main(["analyze", "--input", path, "--horizon", "6"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_ORACLE
+        assert [json.loads(line) for line in lines] == [
+            {
+                "error": "oracle_disagreement",
+                "detail": "graph analysis disagrees with brute force",
+            }
+        ]
+
     def test_determinism(self, tmp_path, capsys):
         path = write(tmp_path, "gm.json", GOLDEN)
         code1, r1 = run(capsys, ["analyze", "--input", path, "--horizon", "8"])
@@ -282,6 +309,22 @@ class TestRealize:
             assert code == EXIT_RESOURCE
             assert out["error"] == "resource_limit"
             assert f"input number {big} exceeds INPUT_NUMBER_CAP" in out["detail"]
+
+    def test_realize_vertex_cap(self, tmp_path, capsys):
+        # {n >= 100} would take 35,012,249 vertices; both sofic targets
+        # refuse it before building a section
+        payload = {
+            "finite": [],
+            "components": [{"d": 1, "threshold": 100, "extras": []}],
+            "certified": True,
+        }
+        path = write(tmp_path, "tail100.json", payload)
+        for target in ("irreducible_sofic", "period_set_variant"):
+            code, out = run(capsys, ["realize", "--input", path, "--target", target])
+            assert code == EXIT_RESOURCE
+            assert out["error"] == "resource_limit"
+            assert "35012249 vertices" in out["detail"]
+            assert "REALIZE_VERTEX_CAP = 20000" in out["detail"]
 
     def test_arbitrary_target(self, tmp_path, capsys):
         path = write(

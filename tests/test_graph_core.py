@@ -14,6 +14,7 @@ from periodlab.graph_core import (
     disjoint_union,
     enumerate_closed_paths,
     essential_subgraph,
+    lyndon_closed_path_counts,
     max_walk_counts,
     scc_decompose,
     subdivide_edges,
@@ -268,6 +269,65 @@ class TestEnumerate:
     def test_least_period_of_cycle(self):
         assert Cycle("a", ("x", "y", "x", "y")).least_period() == 2
         assert Cycle("a", ("x", "y", "z")).least_period() == 3
+
+
+class TestLyndonOrbits:
+    """``lyndon_closed_path_counts`` against the listing of every closed
+    path and against dense matrix powers."""
+
+    def test_random_graphs(self):
+        rng = random.Random(23)
+        N = 10
+        shapes = {"self_loop": 0, "parallel": 0, "components": 0, "acyclic": 0}
+        for _ in range(120):
+            g = random_graph(rng, max_vertices=6, max_edges=10, horizon=N)
+            L = lyndon_closed_path_counts(g, N)
+            p = [
+                sum(e * L[e - 1] for e in range(1, n + 1) if n % e == 0)
+                for n in range(1, N + 1)
+            ]
+            q = [n * L[n - 1] for n in range(1, N + 1)]
+            paths = enumerate_closed_paths(g, N)
+            assert p == [len(paths[n]) for n in range(1, N + 1)]
+            assert q == [
+                sum(c.least_period() == n for c in paths[n]) for n in range(1, N + 1)
+            ]
+            assert p == [trace_power(g, n) for n in range(1, N + 1)]
+            pairs = [(s, t) for (s, t, _) in g.edges]
+            shapes["self_loop"] += any(s == t for s, t in pairs)
+            shapes["parallel"] += len(set(pairs)) < len(pairs)
+            nontrivial = len(scc_decompose(g).nontrivial)
+            shapes["components"] += nontrivial >= 2
+            shapes["acyclic"] += nontrivial == 0
+        assert all(count >= 5 for count in shapes.values()), shapes
+
+    def test_dead_ends_cost_nothing(self):
+        # the self-loop feeding a DAG that never returns, as in
+        # TestEnumerate.test_dead_ends_cost_nothing: one orbit, of length 1
+        vertices = ["r"] + [f"x{i}.{j}" for i in range(8) for j in range(4)]
+        edges = [("r", "r", "loop")] + [("r", f"x0.{j}", f"in{j}") for j in range(4)]
+        for i in range(7):
+            for j in range(4):
+                for k in range(4):
+                    edges.append((f"x{i}.{j}", f"x{i + 1}.{k}", f"f{i}.{j}.{k}"))
+        g = build_graph(vertices, edges)
+        assert lyndon_closed_path_counts(g, 12, max_total=1) == [1] + [0] * 11
+
+    def test_visit_budget(self):
+        # in a 100-cycle only the start at the least edge closes into a
+        # Lyndon word; the start at edge k visits 100 - k walks, 5050 in all
+        with pytest.raises(ResourceLimitExceeded, match="visit budget"):
+            lyndon_closed_path_counts(cycle_graph(100), 100, max_total=100)
+        counts = lyndon_closed_path_counts(cycle_graph(100), 100, max_total=101)
+        assert counts == [0] * 99 + [1]
+
+    def test_max_total(self, full_two_shift):
+        # binary Lyndon words of length 1..8: 2, 1, 2, 3, 6, 9, 18, 30
+        assert lyndon_closed_path_counts(full_two_shift, 8, max_total=71) == [
+            2, 1, 2, 3, 6, 9, 18, 30,
+        ]
+        with pytest.raises(ResourceLimitExceeded, match="more than 70 Lyndon"):
+            lyndon_closed_path_counts(full_two_shift, 8, max_total=70)
 
 
 class TestTransforms:

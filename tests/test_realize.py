@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from periodlab.arith import least_rotation_period
+from periodlab.arith import ResourceLimitExceeded, least_rotation_period
 from periodlab.classification import descriptor_equal
 from periodlab.graph_core import enumerate_closed_paths, scc_decompose
 from periodlab.realize import (
@@ -134,6 +134,21 @@ class TestSofic:
     def test_rejects_finite_non_singleton(self):
         with pytest.raises(ShapeError):
             realize_sofic(PeriodSetDescriptor.make({2, 4}, (), certified=True))
+
+    def test_vertex_cap(self, monkeypatch):
+        # 3 * {n >= 4} | {5}: one torus section and ten cycle sections for
+        # the leftovers, 739 vertices with the shared root; {4} is a 4-cycle
+        from periodlab import realize
+
+        for desc, size in (
+            (PeriodSetDescriptor.make({5}, [(3, 4, ())], certified=True), 739),
+            (PeriodSetDescriptor.singleton(4), 4),
+        ):
+            monkeypatch.setattr(realize, "REALIZE_VERTEX_CAP", size)
+            assert realize_sofic(desc).graph.n == size
+            monkeypatch.setattr(realize, "REALIZE_VERTEX_CAP", size - 1)
+            with pytest.raises(ResourceLimitExceeded, match=f"have {size} vertices"):
+                realize_sofic(desc)
 
     def test_torus_marker_words(self):
         # words 1^(2i)0 and 1^(2i+1)0 appear on a path iff it runs through
