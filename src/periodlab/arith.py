@@ -1,4 +1,4 @@
-"""Small exact-arithmetic helpers: divisors, Möbius, integer roots, coin-problem DP.
+"""Small exact-arithmetic helpers: divisors, Möbius, integer roots, word periods.
 
 Everything here works on plain Python integers and is pure; nothing holds
 state between calls.
@@ -131,35 +131,3 @@ def min_rotation(w):
         if doubled[i : i + n] < doubled[best : best + n]:
             best = i
     return doubled[best : best + n]
-
-
-def semigroup_tail_start(generators) -> int:
-    """Certified t such that every multiple of g = gcd(generators) with value >= t
-    is a nonnegative combination of the generators.
-
-    Determined by coin-problem DP: once g-multiples form a run of length
-    min(generators)/g, all later multiples are reachable.
-    """
-    gens = sorted(set(generators))
-    if not gens or gens[0] < 1:
-        raise ValueError("generators must be positive")
-    g = 0
-    for x in gens:
-        g = gcd(g, x)
-    reduced = [x // g for x in gens]
-    a0 = reduced[0]
-    if a0 == 1:
-        return g
-    bound = a0 * reduced[-1] + a0  # past the Frobenius number of the reduced set
-    reach = bytearray(bound + 1)
-    reach[0] = 1
-    for x in reduced:
-        for s in range(x, bound + 1):
-            if reach[s - x]:
-                reach[s] = 1
-    run = 0
-    for s in range(bound + 1):
-        run = run + 1 if reach[s] else 0
-        if run == a0:
-            return g * (s - a0 + 1)
-    raise AssertionError("coin DP bound too small")  # unreachable by Chicken McNugget

@@ -300,10 +300,10 @@ def _try_certify_all_n(x, y, depth: int = 64):
     dec = scc_decompose(ess)
     comp = dec.components[0]
     try:
-        core, core_edges, base, w0, _ = _return_structure(ess, comp, 1)
-        if len(core) == 1 and len(core_edges) == 1:
+        core, core_edges, base, w0, loops = _return_structure(ess, comp, 1)
+        if len(loops) == 1:
             return None  # finite orbit target never dominates
-        cert = growth_certificate(ess, comp, 1, core, core_edges, base, w0)
+        cert = growth_certificate(comp, 1, core, core_edges, base, w0)
         n_pos = solve_q_positive_threshold(cert, margin=2)
         ux = max_walk_counts(x, set(x.vertices), depth)
         from .sft_counting import _STEP_DENOM

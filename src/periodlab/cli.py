@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 parse error, 3 shape rejection (a ShapeError; any
 other ValueError is a bug), 4 oracle disagreement (always a bug, never
-swallowed), 5 resource limit exceeded (a named cap was hit, or a certified
-tail could not be established within the certification caps), 6 internal
+swallowed), 5 resource limit exceeded (a named cap was hit), 6 internal
 error (any other exception; a bug), 7 output closed (stdout's reader went
 away, as in ``| head``; nothing is written to stderr). Reports are
 deterministic given identical inputs and flags, except for the timing
@@ -40,7 +39,6 @@ from .realize import (
     realize_sofic,
 )
 from .sft_counting import (
-    CertificationError,
     ForbiddenWordSpec,
     PeriodSetDescriptor,
     count_table,
@@ -500,7 +498,7 @@ def _run(argv) -> int:
     except OracleDisagreement as exc:
         print(json.dumps({"error": "oracle_disagreement", "detail": str(exc)}))
         return EXIT_ORACLE
-    except (ResourceLimitExceeded, CertificationError) as exc:
+    except ResourceLimitExceeded as exc:
         print(json.dumps({"error": "resource_limit", "detail": str(exc)}))
         return EXIT_RESOURCE
     except Exception as exc:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import lcm, semigroup_tail_start
-from .graph_core import DirectedMultigraph
+from .arith import lcm
+from .graph_core import DirectedMultigraph, return_tail_start
 from .sft_counting import PeriodSetDescriptor
 from .sofic import LabeledGraph
 
@@ -223,7 +223,10 @@ def almost_sum_closure(s, N: int) -> AlmostSumClosure:
             raise ValueError("could not collect generators achieving the gcd")
     x0, y0 = gens[0], gens[1]
     gens_for_tail = sorted(set(sub + [x0, y0]))
-    tail0 = semigroup_tail_start(gens_for_tail)
+    # every multiple of g from tail0 on is a sum of generators: the return
+    # lengths of a one-vertex core whose loops are the generators
+    loops = [("v", "v", e) for e in gens_for_tail]
+    tail0 = return_tail_start(["v"], loops, "v", g, gens_for_tail[0])
     tail = tail0 + x0 + y0  # n >= tail: n - x0 - y0 is a semigroup member
     horizon = max(N, tail)
     members_all = _asc_members(s, horizon)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .arith import ResourceLimitExceeded, word_least_period
@@ -655,30 +656,76 @@ def basepoint_return_counts(core, core_edges, base, N: int) -> list:
 
 
 def basepoint_return_attained(core, core_edges, base, N: int) -> bytearray:
-    """attained[ell] = 1 iff some walk base -> base of length ell exists."""
-    k = len(core)
-    idx = {v: i for i, v in enumerate(core)}
-    b = idx[base]
-    grouped: list = [[] for _ in range(k)]
-    max_w = 1
+    """attained[ell] = 1 iff some walk base -> base of length ell exists.
+
+    The analysis reads return lengths off :func:`return_tail_start`; this
+    view of the return counts stays because ``perfbench`` times it by name.
+    """
+    return bytearray(
+        1 if c else 0 for c in basepoint_return_counts(core, core_edges, base, N)
+    )
+
+
+def _core_successors(core, core_edges) -> dict:
+    succ: dict = {v: [] for v in core}
     for u, v, w in core_edges:
-        grouped[idx[u]].append((idx[v], w))
-        max_w = max(max_w, w)
-    window = max_w + 1
-    layers = [[False] * k for _ in range(window)]
-    layers[0][b] = True
-    out = bytearray(N + 1)
-    out[0] = 1
-    for ell in range(1, N + 1):
-        cur = [False] * k
-        for y in range(k):
-            for x, w in grouped[y]:
-                if w <= ell and layers[(ell - w) % window][x]:
-                    cur[y] = True
-                    break
-        layers[ell % window] = cur
-        out[ell] = 1 if cur[b] else 0
-    return out
+        succ[u].append((v, w))
+    return succ
+
+
+def first_return_loops(core, core_edges, base) -> tuple:
+    """Lengths (a,) or (a, b) with a <= b of the one or two shortest
+    distinct first-return loops at ``base`` on a weighted core: walks
+    base -> base that do not pass base in between.
+
+    A Dijkstra over walks that settles each vertex at most twice, since the
+    two shortest walks to a vertex extend the two shortest walks to its
+    predecessors, and never expands base after the start. An irreducible
+    core that is not a single cycle has two loops at every vertex: the
+    shortest walk to a vertex with two out-edges, either edge, and the
+    shortest walk back. So one loop means a core of one self-loop.
+    """
+    succ = _core_successors(core, core_edges)
+    settled = dict.fromkeys(core, 0)
+    heap = [(w, v) for v, w in succ[base]]
+    heapify(heap)
+    loops: list = []
+    while heap and len(loops) < 2:
+        dist, v = heappop(heap)
+        if v == base:
+            loops.append(dist)
+        elif settled[v] < 2:
+            settled[v] += 1
+            for t, w in succ[v]:
+                heappush(heap, (dist + w, t))
+    assert len(loops) == 2 or len(core_edges) == 1, "one loop but not a cycle"
+    return tuple(loops)
+
+
+def return_tail_start(core, core_edges, base, d: int, a0: int) -> int:
+    """Least multiple w0 >= d of d from which every multiple of d is the
+    length of a walk base -> base on a weighted core; d is the gcd of the
+    return lengths and a0 the shortest of them.
+
+    Returns concatenate, so with m_r the shortest return length congruent
+    to r modulo a0, found by a Dijkstra over (vertex, length mod a0), a
+    length n is a return length exactly when n >= m_(n mod a0). The last
+    multiple of d that is not one is the largest m_r less a0.
+    """
+    succ = _core_successors(core, core_edges)
+    best = {(base, 0): 0}
+    heap = [(0, base, 0)]
+    while heap:
+        dist, v, r = heappop(heap)
+        if best[v, r] < dist:
+            continue
+        for t, w in succ[v]:
+            state = (t, (r + w) % a0)
+            if state not in best or dist + w < best[state]:
+                best[state] = dist + w
+                heappush(heap, (dist + w, *state))
+    last = max(best[base, r] for r in range(0, a0, d))
+    return max(d, last - a0 + d)
 
 
 def core_max_walk_counts(core, core_edges, J: int) -> list:

@@ -2,10 +2,14 @@
 
 Produces exact count tables (p_n, q_n) and *certified* descriptors of the
 period set {n : p_n > 0} and the least-period set supp(q_n). A certified
-descriptor is correct for every n, not just below a horizon: tails are
-established by elementary walk inequalities (superadditive basepoint return
-counts against walk-count upper bounds), and everything below the certified
-threshold is decided by exact sweeps.
+descriptor is correct for every n, not just below a horizon. Tails come
+from the return lengths at a basepoint of each component: a Dijkstra over
+(vertex, length mod the shortest return) finds where they fill every
+multiple of the period, which is the period-set tail, and two distinct
+first-return loops on top of it make every longer multiple a least period.
+Everything below the tail is decided by exact sweeps. Growth certificates
+(superadditive basepoint return counts against walk-count upper bounds)
+compare two systems' counts beyond a crossover for the embedding check.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from . import arith
 from .arith import ResourceLimitExceeded, iroot, lcm
 from .graph_core import (
     DirectedMultigraph,
-    basepoint_return_attained,
     basepoint_return_counts,
     component_period,
     component_walk_counts,
@@ -25,6 +28,8 @@ from .graph_core import (
     closed_walk_counts,
     core_max_walk_counts,
     essential_subgraph,
+    first_return_loops,
+    return_tail_start,
     scc_decompose,
 )
 
@@ -32,7 +37,8 @@ _ROOT_DENOM = 1 << 16
 
 
 class CertificationError(Exception):
-    """A certified tail could not be established within internal caps."""
+    """A growth certificate or threshold could not be established within
+    internal caps."""
 
 
 # -- forbidden-word specs and higher-block recoding ---------------------------
@@ -390,46 +396,15 @@ def descriptors_equal_sets(a: PeriodSetDescriptor, b: PeriodSetDescriptor) -> bo
 # -- certified descriptors ----------------------------------------------------
 
 
-def _is_single_cycle(core, core_edges) -> bool:
-    return (
-        len(core) == 1
-        and len(core_edges) == 1
-        and core_edges[0][0] == core_edges[0][1]
-    )
-
-
-def _multiples_run_start(attained, d: int, a0: int, limit: int):
-    """First k0 such that attained holds on d*k0, d*(k0+1), ..., certified by
-    a run of a0/d consecutive attained multiples (returns concatenate)."""
-    need = a0 // d
-    run = 0
-    k = 1
-    while d * k <= limit:
-        run = run + 1 if attained[d * k] else 0
-        if run == need:
-            return k - need + 1
-        k += 1
-    return None
-
-
 def _return_structure(g, component, d):
-    """Weighted core, basepoint, and the certified start w0 of the full
-    d-multiple tail of basepoint return lengths."""
+    """Weighted core, basepoint, the exact start w0 of the full d-multiple
+    tail of basepoint return lengths, and the lengths of the one or two
+    shortest first-return loops at the basepoint."""
     core, core_edges = contract_chains(g, component)
     base = core[0]
-    limit = 4 * d * max(
-        2, sum(w for (_, _, w) in core_edges)
-    )
-    while True:
-        attained = basepoint_return_attained(core, core_edges, base, limit)
-        a0 = next((l for l in range(1, limit + 1) if attained[l]), None)
-        if a0 is not None:
-            k0 = _multiples_run_start(attained, d, a0, limit)
-            if k0 is not None:
-                return core, core_edges, base, d * k0, attained
-        limit *= 2
-        if limit > 10**6:
-            raise CertificationError("no certified return tail within cap")
+    loops = first_return_loops(core, core_edges, base)
+    w0 = return_tail_start(core, core_edges, base, d, loops[0])
+    return core, core_edges, base, w0, loops
 
 
 def ps_descriptor(g: DirectedMultigraph) -> PeriodSetDescriptor:
@@ -445,7 +420,7 @@ def ps_descriptor(g: DirectedMultigraph) -> PeriodSetDescriptor:
     for i in dec.nontrivial:
         component = dec.components[i]
         d = component_period(g, component)
-        core, core_edges, base, w0, _ = _return_structure(g, component, d)
+        _, _, _, w0, _ = _return_structure(g, component, d)
         tau = w0 // d
         if tau > 1:
             p = component_walk_counts(g, component, w0 - 1)
@@ -506,7 +481,7 @@ def _step_bound(value: int, k: int, x: int) -> tuple[int, int]:
         D *= D
 
 
-def growth_certificate(g, component, d, core, core_edges, base, w0) -> GrowthCertificate:
+def growth_certificate(component, d, core, core_edges, base, w0) -> GrowthCertificate:
     """Build the certificate, choosing the growth base K and the walk-bound
     exponent j by float preselection (only the final integer inequalities
     certify anything, so the selection is free to be heuristic). The step
@@ -627,20 +602,19 @@ def solve_growth_dominates(cert: GrowthCertificate, bound_base: int, bound_cap: 
     return _least_multiple_where(holds, (w // d + 1) * d, d)
 
 
-def _certified_lps_threshold(g, component, d, core, core_edges, base, w0):
-    """Smallest certified tau (in units of d) with q_{d k} > 0 for all
-    k >= tau in this component."""
-    cert = growth_certificate(g, component, d, core, core_edges, base, w0)
-    return solve_q_positive_threshold(cert) // d
-
-
 def lps_descriptor_sft(g: DirectedMultigraph) -> PeriodSetDescriptor:
     """Certified descriptor of supp(q_n) for the edge shift of ``g``.
 
     Per nontrivial component: a single cycle of length c contributes {c};
     otherwise the component has period d and contributes d * (cofinite) with
-    exact exceptions below a certified threshold. Results are united and
-    canonicalized.
+    exact exceptions below the threshold tau = (w0 + a + b) / d, where
+    a <= b are the lengths of two distinct first-return loops u, v at the
+    basepoint and every multiple m >= w0 of d is a return length. A return
+    walk of length m factors uniquely into first-return loops (they form a
+    code); adding u and v and grouping equal loops next to each other gives
+    a closed walk of length a + b + m whose loop sequence has two distinct
+    loops, each in one run, so it is no proper power and q_n > 0 for every
+    multiple n >= w0 + a + b. Results are united and canonicalized.
     """
     dec = scc_decompose(g)
     finite: set = set()
@@ -648,11 +622,11 @@ def lps_descriptor_sft(g: DirectedMultigraph) -> PeriodSetDescriptor:
     for i in dec.nontrivial:
         component = dec.components[i]
         d = component_period(g, component)
-        core, core_edges, base, w0, _ = _return_structure(g, component, d)
-        if _is_single_cycle(core, core_edges):
-            finite.add(core_edges[0][2])
+        _, _, _, w0, loops = _return_structure(g, component, d)
+        if len(loops) == 1:
+            finite.add(loops[0])
             continue
-        tau = _certified_lps_threshold(g, component, d, core, core_edges, base, w0)
+        tau = (w0 + sum(loops)) // d
         if tau > 1:
             q = mobius_invert(component_walk_counts(g, component, d * (tau - 1)))
             extras = set()

@@ -362,14 +362,11 @@ def test_criterion_9_receptive_points():
     assert d == 1 and all(n % d == 0 for n in rec)
     # the complement within d*N sits below the certified threshold of the
     # cover's graph
-    from periodlab.sft_counting import (
-        _certified_lps_threshold,
-        _return_structure,
-    )
+    from periodlab.sft_counting import _return_structure
 
     component = dec.components[0]
-    core, core_edges, base, w0, _ = _return_structure(dp.lg.graph, component, d)
-    tau = _certified_lps_threshold(dp.lg.graph, component, d, core, core_edges, base, w0)
+    _, _, _, w0, loops = _return_structure(dp.lg.graph, component, d)
+    tau = (w0 + sum(loops)) // d
     missing = [n for n in range(1, 31) if n % d == 0 and n not in rec]
     assert all(n < d * tau for n in missing)
     assert missing == [2]

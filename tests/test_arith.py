@@ -10,9 +10,9 @@ from periodlab.arith import (
     least_rotation_period,
     min_rotation,
     mobius,
-    semigroup_tail_start,
     word_least_period,
 )
+from periodlab.graph_core import return_tail_start
 
 
 def test_divisors():
@@ -107,12 +107,14 @@ def test_min_rotation_invariant(w, shift):
 @given(st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_semigroup_tail_certified(gens):
+    # the sums of the generators are the return lengths of a one-vertex core
+    # whose loops are the generators
     gens = sorted(gens)
-    t = semigroup_tail_start(gens)
     g = 0
     for x in gens:
         g = gcd(g, x)
-    assert t % g == 0
+    t = return_tail_start(["v"], [("v", "v", x) for x in gens], "v", g, gens[0])
+    assert t % g == 0 and t >= g
     # everything from t on (multiples of the gcd) really is reachable
     limit = t + 4 * max(gens)
     reach = {0}
@@ -125,3 +127,5 @@ def test_semigroup_tail_certified(gens):
                 frontier.append(s + x)
     for value in range(t, limit + 1, g):
         assert value in reach
+    # and t is the least such multiple
+    assert t == g or t - g not in reach

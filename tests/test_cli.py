@@ -236,6 +236,15 @@ class TestRealize:
         assert report["outputs"]["round_trip"] is True
         assert out.read_text().startswith("digraph")
 
+    def test_large_scale_round_trip(self, tmp_path, capsys):
+        # 1000 * {n >= 1}: one component of period 1000
+        payload = {"components": [{"d": 1000, "threshold": 1}]}
+        path = write(tmp_path, "d1000.json", payload)
+        code, report = run(
+            capsys, ["realize", "--input", path, "--target", "irreducible_sft"]
+        )
+        assert code == EXIT_OK and report["outputs"]["round_trip"] is True
+
     def test_shape_rejection_exit_code(self, tmp_path, capsys):
         path = write(
             tmp_path, "two.json", {"finite": [3, 5], "components": [], "certified": True}
@@ -500,33 +509,37 @@ class TestEnvironment:
 
 
 class TestResourceLimits:
-    def test_certification_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        from periodlab import cli
-        from periodlab.sft_counting import CertificationError
-
-        def refuse(g):
-            raise CertificationError("threshold search exceeded cap")
-
-        monkeypatch.setattr(cli, "lps_descriptor_sft", refuse)
-        path = write(tmp_path, "gm.json", GOLDEN)
-        code, payload = run(capsys, ["analyze", "--input", path, "--horizon", "6"])
-        assert code == cli.EXIT_RESOURCE
-        assert payload == {
-            "error": "resource_limit",
-            "detail": "threshold search exceeded cap",
-        }
-
     def test_threshold_search_cap_exit_code(self, tmp_path, capsys, monkeypatch):
         from periodlab import sft_counting
-        from periodlab.cli import EXIT_RESOURCE
 
-        # the golden mean's threshold n* = 209 lies 111 steps above the start
-        monkeypatch.setattr(sft_counting, "THRESHOLD_SEARCH_CAP", 8)
-        path = write(tmp_path, "gm.json", GOLDEN)
-        code, payload = run(capsys, ["analyze", "--input", path, "--horizon", "6"])
-        assert code == EXIT_RESOURCE
-        assert payload["error"] == "resource_limit"
-        assert "THRESHOLD_SEARCH_CAP = 8" in payload["detail"]
+        # the cap bounds only the growth certificate of embed-check's
+        # all-n crossover; analyze certifies its tails by return lengths
+        # and loops, so a cap far below the golden mean's n* = 209 changes
+        # nothing there, and embed-check reports the crossover uncertified
+        c2 = {
+            "vertices": ["x", "y"],
+            "edges": [
+                {"id": "1", "from": "x", "to": "y"},
+                {"id": "2", "from": "y", "to": "x"},
+            ],
+        }
+        gm = write(tmp_path, "gm.json", GOLDEN)
+        px = write(tmp_path, "c2.json", c2)
+        analyze = ["analyze", "--input", gm, "--horizon", "6"]
+        embed = ["embed-check", px, gm, "--horizon", "10"]
+        reports = []
+        for cap in (sft_counting.THRESHOLD_SEARCH_CAP, 8):
+            monkeypatch.setattr(sft_counting, "THRESHOLD_SEARCH_CAP", cap)
+            code, report = run(capsys, analyze)
+            assert code == EXIT_OK
+            report.pop("timing_ms")
+            reports.append(report)
+            code, report = run(capsys, embed)
+            assert code == EXIT_OK
+            verdict = report["outputs"]["verdict"]
+            assert verdict["verdict"] == "pass_at_desk_scale"
+            assert verdict["certified_all_n"] is (cap != 8)
+        assert reports[0] == reports[1]
 
     def test_mobius_cap_exit_code(self, tmp_path, capsys, monkeypatch):
         from periodlab import arith

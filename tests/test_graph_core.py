@@ -6,6 +6,7 @@ from periodlab.graph_core import (
     Cycle,
     DirectedMultigraph,
     ResourceLimitExceeded,
+    basepoint_return_counts,
     closed_walk_counts,
     component_period,
     component_walk_counts,
@@ -14,8 +15,10 @@ from periodlab.graph_core import (
     disjoint_union,
     enumerate_closed_paths,
     essential_subgraph,
+    first_return_loops,
     lyndon_closed_path_counts,
     max_walk_counts,
+    return_tail_start,
     scc_decompose,
     subdivide_edges,
     trace_power,
@@ -410,3 +413,71 @@ class TestCoreWalkCaps:
                     [d * f for f in finite], [(d, tau, ())], certified=True
                 )
                 assert self.check(realize_irreducible_sft(desc)) == 1
+
+
+class TestReturnSearches:
+    """``first_return_loops`` and ``return_tail_start`` at every core vertex
+    of a component, against closed paths listed by brute force and against
+    the return counts of the transfer DP."""
+
+    @staticmethod
+    def first_return_lengths(g, base, paths):
+        # closed paths from base that do not pass base in between
+        target = {eid: t for (_s, t, eid) in g.edges}
+        return sorted(
+            len(c)
+            for n in paths
+            for c in paths[n]
+            if c.start == base
+            and all(target[eid] != base for eid in c.edge_ids[:-1])
+        )
+
+    def check(self, g):
+        dec = scc_decompose(g)
+        # two shortest first-return loops: at most 2|V| - 1 edges each
+        paths = enumerate_closed_paths(g, 2 * g.n) if dec.nontrivial else {}
+        checked = 0
+        for i in dec.nontrivial:
+            comp = dec.components[i]
+            d = component_period(g, comp)
+            core, core_edges = contract_chains(g, comp)
+            for base in core:
+                loops = first_return_loops(core, core_edges, base)
+                lengths = self.first_return_lengths(g, base, paths)
+                assert list(loops) == lengths[:2]
+                assert (len(loops) == 1) == (len(core_edges) == 1)
+                w0 = return_tail_start(core, core_edges, base, d, loops[0])
+                assert w0 % d == 0 and w0 >= d
+                counts = basepoint_return_counts(core, core_edges, base, w0 + 2 * loops[0])
+                assert all(counts[n] for n in range(w0, len(counts), d))
+                assert w0 == d or not counts[w0 - d]
+                checked += 1
+        return checked
+
+    def test_random_graphs(self):
+        rng = random.Random(4242)
+        assert sum(self.check(random_graph(rng)) for _ in range(300)) >= 300
+
+    def test_cases(self):
+        cases = [
+            cycle_graph(5),
+            attached_cycles_graph_5_2(),
+            subdivide_edges(attached_cycles_graph_5_2(), 3),
+            # parallel self-loops: two distinct loops of the same length
+            build_graph(["v"], [("v", "v", "0"), ("v", "v", "1")]),
+            # a 2-cycle and a 3-cycle through v
+            build_graph(
+                ["v", "a", "b", "c"],
+                [("v", "a", "va"), ("a", "v", "av"), ("v", "b", "vb"),
+                 ("b", "c", "bc"), ("c", "v", "cv")],
+            ),
+        ]
+        # core vertices checked per case
+        assert [self.check(g) for g in cases] == [1, 2, 2, 1, 1]
+
+    def test_one_vertex_core_is_the_coin_problem(self):
+        # returns at one vertex whose loops have lengths 6, 10 and 15 are
+        # their sums; 29 is the largest number that is not one
+        loops = [("v", "v", w) for w in (6, 10, 15)]
+        assert first_return_loops(["v"], loops, "v") == (6, 10)
+        assert return_tail_start(["v"], loops, "v", 1, 6) == 30

@@ -53,6 +53,11 @@ class TestIrreducibleSft:
         dec = scc_decompose(g)
         assert len(dec.components) == 1
 
+    def test_long_tail_round_trip(self):
+        # {n >= 100}: a small graph whose least periods start far out
+        desc = PeriodSetDescriptor.make((), [(1, 100, ())], certified=True)
+        assert descriptor_equal(lps_descriptor_sft(realize_irreducible_sft(desc)), desc)
+
     def test_rejects_general_shape(self):
         desc = PeriodSetDescriptor.make((), [(2, 1, ()), (3, 1, ())])
         with pytest.raises(ShapeError) as err:
@@ -78,6 +83,11 @@ class TestReducibleSft:
 
     def test_two_scaled_tails(self):
         desc = PeriodSetDescriptor.make((), [(2, 1, ()), (3, 1, ())], certified=True)
+        g = realize_reducible_sft(desc)
+        assert descriptor_equal(lps_descriptor_sft(g), desc)
+
+    def test_singleton_plus_long_scaled_tail(self):
+        desc = PeriodSetDescriptor.make({1}, [(2, 100, ())], certified=True)
         g = realize_reducible_sft(desc)
         assert descriptor_equal(lps_descriptor_sft(g), desc)
 

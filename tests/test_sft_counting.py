@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from periodlab import sft_counting as sc
 from periodlab.graph_core import (
     component_period,
+    component_walk_counts,
     enumerate_closed_paths,
     scc_decompose,
     subdivide_edges,
@@ -357,15 +358,15 @@ class TestLpsDescriptor:
 
 def _certificates(g):
     """Growth certificates of g's nontrivial components that are not single
-    cycles, built as lps_descriptor_sft builds them."""
+    cycles, built on the same return structure as the embedding check's."""
     dec = scc_decompose(g)
     out = []
     for i in dec.nontrivial:
         component = dec.components[i]
         d = component_period(g, component)
-        core, core_edges, base, w0, _ = sc._return_structure(g, component, d)
-        if not sc._is_single_cycle(core, core_edges):
-            out.append(sc.growth_certificate(g, component, d, core, core_edges, base, w0))
+        core, core_edges, base, w0, loops = sc._return_structure(g, component, d)
+        if len(loops) == 2:
+            out.append(sc.growth_certificate(component, d, core, core_edges, base, w0))
     return out
 
 
@@ -466,13 +467,78 @@ class TestThresholdSearch:
             monkeypatch.setattr(sc, "THRESHOLD_SEARCH_CAP", cap)
             with pytest.raises(sc.CertificationError, match="THRESHOLD_SEARCH_CAP"):
                 sc.solve_q_positive_threshold(cert)
-            with pytest.raises(sc.CertificationError, match="THRESHOLD_SEARCH_CAP"):
-                lps_descriptor_sft(golden_mean)
 
     def test_realization_with_slow_certified_growth(self):
         # 497 vertices; the certified step growth 261/256 barely exceeds the
-        # walk bound, so n* = 10380 sits far above the true tail start
+        # walk bound, so the growth certificate's n* = 10380 sits far above
+        # the true tail start, which the loop threshold does not need
         target = PeriodSetDescriptor.make((), [(6, 7, ())], certified=True)
         g = realize_irreducible_sft(target)
         assert g.n == 497
+        (cert,) = _certificates(g)
+        assert sc.solve_q_positive_threshold(cert) == 10380
         assert lps_descriptor_sft(g) == target
+
+
+def _loop_thresholds(g):
+    """(component, d, tau) for g's nontrivial components that are not
+    single cycles, tau = (w0 + a + b) / d as lps_descriptor_sft takes it."""
+    dec = scc_decompose(g)
+    out = []
+    for i in dec.nontrivial:
+        component = dec.components[i]
+        d = component_period(g, component)
+        _, _, _, w0, loops = sc._return_structure(g, component, d)
+        if len(loops) == 2:
+            out.append((component, d, (w0 + sum(loops)) // d))
+    return out
+
+
+class TestLoopThreshold:
+    """Exact q_{d k} > 0 at and just past tau = (w0 + a + b) / d: two
+    distinct first-return loops on top of a return of length >= w0 give a
+    closed walk that is no proper power."""
+
+    @staticmethod
+    def check(g):
+        checked = 0
+        for component, d, tau in _loop_thresholds(g):
+            q = sc.mobius_invert(component_walk_counts(g, component, d * (tau + 8)))
+            assert all(q[d * k - 1] > 0 for k in range(tau, tau + 9)), (d, tau)
+            checked += 1
+        return checked
+
+    def test_random_graphs(self):
+        rng = random.Random(4242)
+        assert sum(self.check(random_graph(rng)) for _ in range(300)) >= 100
+
+    def test_realizations(self):
+        targets = [
+            PeriodSetDescriptor.make(finite, [(d, tau, ())], certified=True)
+            for finite, d, tau in (
+                ((), 1, 3), ((2,), 1, 4), ((), 2, 3), ((3,), 3, 2), ((), 6, 7),
+            )
+        ]
+        graphs = [realize_irreducible_sft(t) for t in targets]
+        graphs.append(realize_reducible_sft(
+            PeriodSetDescriptor.make((5,), [(2, 3, ()), (3, 2, ())], certified=True)))
+        assert graphs[4].n == 497
+        assert sum(self.check(g) for g in graphs) == 7
+
+    def test_two_and_three_loops(self):
+        # a = 2, b = 3 and w0 = 2 give tau = 7; q_4 = q_6 = 0, since every
+        # closed walk of length 4 or 6 is a power of one loop, so a
+        # threshold taken as w0 + 2a = 6 would be wrong
+        g = build_graph(
+            ["v", "a", "b", "c"],
+            [("v", "a", "va"), ("a", "v", "av"), ("v", "b", "vb"),
+             ("b", "c", "bc"), ("c", "v", "cv")],
+        )
+        ((_, d, tau),) = _loop_thresholds(g)
+        assert (d, tau) == (1, 7)
+        assert [q > 0 for q in count_table(g, 7).q] == [
+            False, True, True, False, True, False, True,
+        ]
+        assert lps_descriptor_sft(g) == PeriodSetDescriptor.make(
+            (2, 3, 5), [(1, 7, ())], certified=True
+        )
