@@ -7,9 +7,9 @@ integers. All values are immutable after construction and every function
 here is pure, so concurrent use on shared inputs is safe.
 
 Counting is exact: matrix powers use arbitrary-precision integers, and for
-large sparse graphs closed-walk counts are obtained by contracting forced
-chains onto a weighted core and running a transfer DP (cross-checked against
-the dense matrix powers in the test suite).
+large sparse graphs every walk count comes from one window DP on a weighted
+core (forced chains contracted into weighted edges), cross-checked in the
+test suite against dense matrix powers and the zeta determinant.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from math import gcd
 from .arith import ResourceLimitExceeded, word_least_period
 
 DEFAULT_PATH_BUDGET = 2_000_000
+WALK_DP_CAP = 200_000_000  # core vertices x core edges x length
 
 
 @dataclass(frozen=True)
@@ -526,10 +527,13 @@ def subdivide_edges(g: DirectedMultigraph, d: int) -> DirectedMultigraph:
 #
 # Inside one strongly connected component, vertices with a single in-edge and
 # a single out-edge never offer a choice to a walk, so chains contract onto a
-# small "core" whose edges carry integer lengths. Closed-walk counts of the
-# original component are recovered from transfer DPs on the core: a closed
-# walk based at an interior vertex of a length-w core edge (u -> x) is a walk
-# x -> u of the complementary length, giving the (w - 1) correction term.
+# small "core" whose edges carry integer lengths. One window DP,
+# ``_core_walks``, counts walks on the core that end on a weighted set of
+# core vertices; a core edge of weight w reads the counts w lengths back.
+# Closed-walk counts, basepoint returns and walk caps are each one choice of
+# that end set. A closed walk based at an interior vertex of a length-w core
+# edge (u -> x) is a walk x -> u of the complementary length, giving the
+# (w - 1) correction term of the closed-walk counts.
 
 
 def contract_chains(g: DirectedMultigraph, component):
@@ -575,40 +579,59 @@ def contract_chains(g: DirectedMultigraph, component):
     return core, core_edges
 
 
+def _core_walks(core, core_edges, N: int, start, fill=0) -> list:
+    """[v_0 .. v_N] on a weighted core, with v_0 = ``start`` (a weight per
+    core vertex, in core order): v_ell[y] counts the walks of length ell
+    from y that end on ``start``, and a walk that would need a v_ell with
+    ell < 0 counts ``fill``. A core edge of weight w reads v_(ell - w), so
+    the edges are grouped by weight and each length is one pass over them.
+    """
+    idx = {v: i for i, v in enumerate(core)}
+    by_weight: dict = {}
+    for u, v, w in core_edges:
+        by_weight.setdefault(w, []).append((idx[u], idx[v]))
+    before = [fill] * len(core)
+    walks = [list(start)]
+    for ell in range(1, N + 1):
+        cur = [0] * len(core)
+        for w, pairs in by_weight.items():
+            prev = walks[ell - w] if w <= ell else before
+            for y, x in pairs:
+                cur[y] += prev[x]
+        walks.append(cur)
+    return walks
+
+
 def component_walk_counts(g: DirectedMultigraph, component, N: int) -> list:
-    """[p_1 .. p_N] closed-walk counts within one nontrivial component."""
+    """[p_1 .. p_N] closed-walk counts within one nontrivial component.
+
+    One window DP per core vertex u, ending on u: its closed walks are the
+    walks u -> u, and each interior vertex of a core edge u -> x of weight
+    w adds the walks x -> u of length ell - w. Refuses with
+    :class:`ResourceLimitExceeded` when the core's vertices times its edges
+    times N exceed ``WALK_DP_CAP``, before any step is taken.
+    """
     core, core_edges = contract_chains(g, component)
     k = len(core)
+    work = k * len(core_edges) * N
+    if work > WALK_DP_CAP:
+        raise ResourceLimitExceeded(
+            f"walk counts on a core of {k} vertices and {len(core_edges)} edges "
+            f"up to n={N} take {work} steps, more than WALK_DP_CAP = {WALK_DP_CAP}"
+        )
     idx = {v: i for i, v in enumerate(core)}
-    by_target_rev: list = [[] for _ in range(k)]  # edges grouped for DP step
-    max_w = 1
-    for u, v, w in core_edges:
-        by_target_rev[idx[u]].append((idx[v], w))
-        max_w = max(max_w, w)
-    # walks_to[u][ell % window][y] = number of walks y -> u of length ell
-    window = max_w + 1
-    layers = [[[0] * k for _ in range(k)] for _ in range(window)]
-    for u in range(k):
-        layers[0][u][u] = 1
-    interior = [(idx[u], idx[v], w) for (u, v, w) in core_edges if w > 1]
+    interior: list = [[] for _ in core]
+    for u, x, w in core_edges:
+        if w > 1:
+            interior[idx[u]].append((idx[x], w))
     p = [0] * (N + 1)
-    for ell in range(1, N + 1):
-        cur = [[0] * k for _ in range(k)]
-        for u in range(k):
-            row_u = cur[u]
-            for y in range(k):
-                total = 0
-                for x, w in by_target_rev[y]:
-                    if w <= ell:
-                        total += layers[(ell - w) % window][u][x]
-                row_u[y] = total
-        layers[ell % window] = cur
-        s = sum(cur[u][u] for u in range(k))
-        for u, x, w in interior:
-            if ell - w >= 0:
-                s += (w - 1) * layers[(ell - w) % window][u][x]
-            # ell == w with x == u handled by the same lookup (layer 0)
-        p[ell] = s
+    for u in range(k):
+        walks = _core_walks(core, core_edges, N, [int(y == u) for y in range(k)])
+        for ell in range(1, N + 1):
+            p[ell] += walks[ell][u]
+        for x, w in interior[u]:
+            for ell in range(w, N + 1):
+                p[ell] += (w - 1) * walks[ell - w][x]
     return p[1:]
 
 
@@ -630,29 +653,9 @@ def basepoint_return_counts(core, core_edges, base, N: int) -> list:
 
     Superadditive: c(a + b) >= c(a) * c(b), since returns concatenate.
     """
-    k = len(core)
-    idx = {v: i for i, v in enumerate(core)}
-    b = idx[base]
-    grouped: list = [[] for _ in range(k)]
-    max_w = 1
-    for u, v, w in core_edges:
-        grouped[idx[u]].append((idx[v], w))
-        max_w = max(max_w, w)
-    window = max_w + 1
-    layers = [[0] * k for _ in range(window)]
-    layers[0][b] = 1
-    out = [1] + [0] * N
-    for ell in range(1, N + 1):
-        cur = [0] * k
-        for y in range(k):
-            total = 0
-            for x, w in grouped[y]:
-                if w <= ell:
-                    total += layers[(ell - w) % window][x]
-            cur[y] = total
-        layers[ell % window] = cur
-        out[ell] = cur[b]
-    return out
+    b = core.index(base)
+    start = [int(y == b) for y in range(len(core))]
+    return [v[b] for v in _core_walks(core, core_edges, N, start)]
 
 
 def basepoint_return_attained(core, core_edges, base, N: int) -> bytearray:
@@ -739,25 +742,8 @@ def core_max_walk_counts(core, core_edges, J: int) -> list:
     never fall with length when every vertex has an out-edge; so the
     maximum over the component is the maximum over the core.
     """
-    k = len(core)
-    idx = {v: i for i, v in enumerate(core)}
-    grouped: list = [[] for _ in range(k)]
-    max_w = 1
-    for u, v, w in core_edges:
-        grouped[idx[u]].append((idx[v], w))
-        max_w = max(max_w, w)
-    window = max_w + 1
-    # a slot not yet written holds 1: the walks of length <= 0
-    layers = [[1] * k for _ in range(window)]
-    out = []
-    for ell in range(1, J + 1):
-        cur = [
-            sum(layers[(ell - w) % window][x] for x, w in grouped[y])
-            for y in range(k)
-        ]
-        layers[ell % window] = cur
-        out.append(max(cur))
-    return out
+    walks = _core_walks(core, core_edges, J, [1] * len(core), fill=1)
+    return [max(v) for v in walks[1:]]
 
 
 def max_walk_counts(g: DirectedMultigraph, component, J: int) -> list:

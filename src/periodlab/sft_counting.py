@@ -34,6 +34,7 @@ from .graph_core import (
 )
 
 _ROOT_DENOM = 1 << 16
+RECODE_BLOCK_CAP = 1 << 16  # (L-1)-blocks higher_block_recode may list
 
 
 class CertificationError(Exception):
@@ -91,9 +92,17 @@ def higher_block_recode(spec: ForbiddenWordSpec) -> DirectedMultigraph:
     Vertices are the allowed (L-1)-blocks and edges the allowed L-blocks,
     where L is the longest forbidden-word length (at least 2). Conjugacy
     preserves p_n and q_n for every n. Forbidding every length-1 word yields
-    the empty graph (the empty shift).
+    the empty graph (the empty shift). Raises
+    :class:`ResourceLimitExceeded` before listing any block when there are
+    more than ``RECODE_BLOCK_CAP`` candidate (L-1)-blocks.
     """
     L = max([2] + [len(w) for w in spec.forbidden])
+    candidates = len(spec.alphabet) ** (L - 1)
+    if candidates > RECODE_BLOCK_CAP:
+        raise ResourceLimitExceeded(
+            f"higher-block recode would list {len(spec.alphabet)}^{L - 1} = "
+            f"{candidates} blocks, more than RECODE_BLOCK_CAP = {RECODE_BLOCK_CAP}"
+        )
     blocks = [()]
     for _ in range(L - 1):
         blocks = [b + (a,) for b in blocks for a in spec.alphabet]
@@ -407,28 +416,42 @@ def _return_structure(g, component, d):
     return core, core_edges, base, w0, loops
 
 
-def ps_descriptor(g: DirectedMultigraph) -> PeriodSetDescriptor:
-    """Certified descriptor of {n : tr(A^n) > 0}, assembled per component.
-
-    Inside a component with period d, every closed-walk length is a multiple
-    of d, basepoint returns give a certified all-multiples tail, and an exact
-    sweep below the tail start decides the rest.
-    """
+def _sft_descriptor(g: DirectedMultigraph, least: bool) -> PeriodSetDescriptor:
+    """Certified descriptor of the period set, or with ``least`` of the
+    least-period set, united over the nontrivial components: d * ({n >=
+    tau} | extras) per component of period d, the extras read off exact
+    counts below tau (Möbius-inverted for least periods), and {c} for the
+    least periods of a single c-cycle."""
     dec = scc_decompose(g)
     finite: set = set()
     comps = []
     for i in dec.nontrivial:
         component = dec.components[i]
         d = component_period(g, component)
-        _, _, _, w0, _ = _return_structure(g, component, d)
-        tau = w0 // d
-        if tau > 1:
-            p = component_walk_counts(g, component, w0 - 1)
-            extras = {k for k in range(1, tau) if p[d * k - 1] > 0}
-        else:
-            extras = set()
+        _, _, _, w0, loops = _return_structure(g, component, d)
+        if least and len(loops) == 1:
+            finite.add(loops[0])
+            continue
+        tau = (w0 + sum(loops)) // d if least else w0 // d
+        counts = component_walk_counts(g, component, d * (tau - 1)) if tau > 1 else []
+        if least:
+            counts = mobius_invert(counts)
+            if any(c < 0 for c in counts):
+                raise AssertionError("negative least-period count")
+        extras = {k for k in range(1, tau) if counts[d * k - 1] > 0}
         comps.append((d, tau, extras))
     return PeriodSetDescriptor.make(finite, comps, certified=True)
+
+
+def ps_descriptor(g: DirectedMultigraph) -> PeriodSetDescriptor:
+    """Certified descriptor of {n : tr(A^n) > 0}, assembled per component.
+
+    Inside a component with period d, every closed-walk length is a multiple
+    of d, basepoint returns give a certified all-multiples tail from w0 on,
+    so tau = w0 / d, and an exact sweep below the tail start decides the
+    rest.
+    """
+    return _sft_descriptor(g, least=False)
 
 
 def _floor_root_scaled(value: int, k: int, denom: int = _ROOT_DENOM) -> int:
@@ -616,27 +639,4 @@ def lps_descriptor_sft(g: DirectedMultigraph) -> PeriodSetDescriptor:
     loops, each in one run, so it is no proper power and q_n > 0 for every
     multiple n >= w0 + a + b. Results are united and canonicalized.
     """
-    dec = scc_decompose(g)
-    finite: set = set()
-    comps = []
-    for i in dec.nontrivial:
-        component = dec.components[i]
-        d = component_period(g, component)
-        _, _, _, w0, loops = _return_structure(g, component, d)
-        if len(loops) == 1:
-            finite.add(loops[0])
-            continue
-        tau = (w0 + sum(loops)) // d
-        if tau > 1:
-            q = mobius_invert(component_walk_counts(g, component, d * (tau - 1)))
-            extras = set()
-            for k in range(1, tau):
-                qn = q[d * k - 1]
-                if qn < 0:
-                    raise AssertionError("negative least-period count")
-                if qn > 0:
-                    extras.add(k)
-        else:
-            extras = set()
-        comps.append((d, tau, extras))
-    return PeriodSetDescriptor.make(finite, comps, certified=True)
+    return _sft_descriptor(g, least=True)

@@ -552,6 +552,35 @@ class TestResourceLimits:
         assert payload["error"] == "resource_limit"
         assert "mobius" in payload["detail"]
 
+    def test_walk_dp_cap_exit_code(self, tmp_path, capsys):
+        import time
+
+        from periodlab.graph_core import WALK_DP_CAP
+
+        # forbidding 0^14 leaves an 8,191-vertex recode that is all core:
+        # count_table at n = 12 would take 8191 * 16382 * 12 DP steps
+        spec = {"alphabet": ["0", "1"], "forbidden": [["0"] * 14]}
+        path = write(tmp_path, "zeros.json", spec)
+        start = time.perf_counter()
+        code, payload = run(capsys, ["analyze", "--input", path])
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_RESOURCE
+        assert payload["error"] == "resource_limit"
+        assert f"{8191 * 16382 * 12} steps" in payload["detail"]
+        assert f"WALK_DP_CAP = {WALK_DP_CAP}" in payload["detail"]
+
+    def test_recode_block_cap_exit_code(self, tmp_path, capsys):
+        from periodlab.sft_counting import RECODE_BLOCK_CAP
+
+        # a forbidden word of length 40 would need all 2^39 39-blocks
+        spec = {"alphabet": ["0", "1"], "forbidden": [["0", "1"] * 20]}
+        path = write(tmp_path, "long.json", spec)
+        code, payload = run(capsys, ["analyze", "--input", path])
+        assert code == EXIT_RESOURCE
+        assert payload["error"] == "resource_limit"
+        assert f"2^39 = {2**39} blocks" in payload["detail"]
+        assert f"RECODE_BLOCK_CAP = {RECODE_BLOCK_CAP}" in payload["detail"]
+
     def test_layer_max_states_exit_code(self, tmp_path, capsys):
         from periodlab.cli import EXIT_RESOURCE
         from periodlab.sofic import LAYER_MAX_STATES

@@ -17,6 +17,7 @@ from periodlab.graph_core import (
     essential_subgraph,
     first_return_loops,
     lyndon_closed_path_counts,
+    matrix_power,
     max_walk_counts,
     return_tail_start,
     scc_decompose,
@@ -413,6 +414,52 @@ class TestCoreWalkCaps:
                     [d * f for f in finite], [(d, tau, ())], certified=True
                 )
                 assert self.check(realize_irreducible_sft(desc)) == 1
+
+
+class TestCoreWalks:
+    """The weighted-core window DP against engines that do not use it:
+    dense matrix powers of the component and the zeta determinant."""
+
+    @staticmethod
+    def check_returns(g, N=40):
+        dec = scc_decompose(g)
+        checked = 0
+        for i in dec.nontrivial:
+            comp = dec.components[i]
+            sub = build_graph(
+                sorted(comp), [e for e in g.edges if e[0] in comp and e[1] in comp]
+            )
+            powers = [matrix_power(sub.adjacency, n) for n in range(N + 1)]
+            core, core_edges = contract_chains(g, comp)
+            for base in core:
+                b = sub.index[base]
+                assert basepoint_return_counts(core, core_edges, base, N) == [
+                    m[b][b] for m in powers
+                ]
+                checked += 1
+        return checked
+
+    def test_basepoint_returns_against_matrix_powers(self):
+        rng = random.Random(4242)
+        graphs = [random_graph(rng) for _ in range(300)]
+        assert sum(self.check_returns(g) for g in graphs) >= 300
+        # chains of weight 2 and 3 on a sample
+        subdivided = [subdivide_edges(g, d) for g in graphs[:300:30] for d in (2, 3)]
+        assert sum(self.check_returns(g) for g in subdivided) >= 10
+
+    def test_long_weights_against_zeta(self, golden_mean):
+        from periodlab.realize import realize_irreducible_sft
+        from periodlab.sft_counting import PeriodSetDescriptor
+        from periodlab.zeta import log_derivative_series, zeta_of_graph
+
+        six = realize_irreducible_sft(
+            PeriodSetDescriptor.make((), [(6, 7, ())], certified=True)
+        )
+        assert six.n == 497
+        for g in (six, subdivide_edges(golden_mean, 50)):
+            p = closed_walk_counts(g, 60)
+            assert p == log_derivative_series(zeta_of_graph(g), 60)
+            assert any(p)
 
 
 class TestReturnSearches:
