@@ -26,9 +26,15 @@ from .graph_core import (
 )
 from .realize import ShapeError
 from .sft_counting import (
+    _STEP_DENOM,
+    CertificationError,
     PeriodSetDescriptor,
     count_table,
     descriptors_equal_sets,
+    growth_certificate,
+    sft_components,
+    solve_growth_dominates,
+    solve_q_positive_threshold,
 )
 
 # -- descriptor algebra --------------------------------------------------------
@@ -286,28 +292,15 @@ def _try_certify_all_n(x, y, depth: int = 64):
     crossover: beyond it the mixing target satisfies
     q_n(Y) >= lam^(n-w')/2 >= p_n(X) via its growth certificate. Returns the
     crossover (exact comparison is still needed up to it) or None."""
-    from .sft_counting import (
-        CertificationError,
-        _return_structure,
-        growth_certificate,
-        solve_growth_dominates,
-        solve_q_positive_threshold,
-    )
-
     if not scc_decompose(x).nontrivial:
         return 1  # X has no periodic points at all
-    ess = essential_subgraph(y)
-    dec = scc_decompose(ess)
-    comp = dec.components[0]
+    (c,) = sft_components(essential_subgraph(y))
+    if len(c.loops) == 1:
+        return None  # finite orbit target never dominates
     try:
-        core, core_edges, base, w0, loops = _return_structure(ess, comp, 1)
-        if len(loops) == 1:
-            return None  # finite orbit target never dominates
-        cert = growth_certificate(comp, 1, core, core_edges, base, w0)
+        cert = growth_certificate(c.component, 1, c.core, c.core_edges, c.base, c.w0)
         n_pos = solve_q_positive_threshold(cert, margin=2)
         ux = max_walk_counts(x, set(x.vertices), depth)
-        from .sft_counting import _STEP_DENOM
-
         j_other = None
         for j in range(1, depth + 1):
             if cert.x**j > max(ux[j - 1], 1) * _STEP_DENOM**j:

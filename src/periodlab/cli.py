@@ -41,10 +41,10 @@ from .realize import (
 from .sft_counting import (
     ForbiddenWordSpec,
     PeriodSetDescriptor,
-    count_table,
+    CountTable,
     higher_block_recode,
     lps_descriptor_sft,
-    ps_descriptor,
+    sft_analysis,
 )
 from .sofic import LabeledGraph, sofic_lps_upto, unique_preimage_lps
 
@@ -174,7 +174,8 @@ def _oracle_counts(g: DirectedMultigraph, N: int):
 
 
 def _analyze_graph(g: DirectedMultigraph, N: int, cap: int, report: RunReport):
-    table = count_table(g, N)
+    p, ps, lps = sft_analysis(g, N)
+    table = CountTable.from_p(p)
     oracle_n = min(N, cap)
     # p_1 + ... + p_n is the number of closed paths the oracle would list;
     # past the budget its enumeration would only fail at the cap, later
@@ -184,8 +185,6 @@ def _analyze_graph(g: DirectedMultigraph, N: int, cap: int, report: RunReport):
             f"the oracle would enumerate {paths} closed paths up to n={oracle_n}, "
             f"more than the path budget DEFAULT_PATH_BUDGET = {DEFAULT_PATH_BUDGET}"
         )
-    ps = ps_descriptor(g)
-    lps = lps_descriptor_sft(g)
     op, oq = _oracle_counts(g, oracle_n)
     p_ok = list(table.p[:oracle_n]) == op
     q_ok = list(table.q[:oracle_n]) == oq

@@ -2,14 +2,16 @@
 
 Produces exact count tables (p_n, q_n) and *certified* descriptors of the
 period set {n : p_n > 0} and the least-period set supp(q_n). A certified
-descriptor is correct for every n, not just below a horizon. Tails come
-from the return lengths at a basepoint of each component: a Dijkstra over
-(vertex, length mod the shortest return) finds where they fill every
-multiple of the period, which is the period-set tail, and two distinct
-first-return loops on top of it make every longer multiple a least period.
-Everything below the tail is decided by exact sweeps. Growth certificates
-(superadditive basepoint return counts against walk-count upper bounds)
-compare two systems' counts beyond a crossover for the embedding check.
+descriptor is correct for every n, not just below a horizon. One pass per
+nontrivial component (:func:`sft_components`) finds its period, the return
+lengths at a basepoint of its weighted core and its exact walk counts. A
+Dijkstra over (vertex, length mod the shortest return) finds where the
+returns fill every multiple of the period, which is the period-set tail,
+and two distinct first-return loops on top of it make every longer multiple
+a least period. The exact counts decide everything below either tail, and
+up to a count table's horizon. Growth certificates (superadditive
+basepoint return counts against walk-count upper bounds) compare two
+systems' counts beyond a crossover for the embedding check.
 """
 
 from __future__ import annotations
@@ -132,6 +134,15 @@ class CountTable:
     p: tuple[int, ...]
     q: tuple[int, ...]
 
+    @classmethod
+    def from_p(cls, p) -> "CountTable":
+        """The table of p_1..p_N, with q by Möbius inversion."""
+        q = mobius_invert(p)
+        for n, qn in enumerate(q, start=1):
+            if qn < 0:
+                raise AssertionError(f"negative q_{n}; counting bug")
+        return cls(len(p), tuple(p), tuple(q))
+
     def p_at(self, n: int) -> int:
         return self.p[n - 1]
 
@@ -172,12 +183,7 @@ def count_table(g: DirectedMultigraph, N: int) -> CountTable:
     """Exact p (closed-walk counts) and q (Möbius inversion) up to N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    p = closed_walk_counts(g, N)
-    q = mobius_invert(p)
-    for n, qn in enumerate(q, start=1):
-        if qn < 0:
-            raise AssertionError(f"negative q_{n}; counting bug")
-    return CountTable(N, tuple(p), tuple(q))
+    return CountTable.from_p(closed_walk_counts(g, N))
 
 
 # -- period-set descriptors ---------------------------------------------------
@@ -405,42 +411,68 @@ def descriptors_equal_sets(a: PeriodSetDescriptor, b: PeriodSetDescriptor) -> bo
 # -- certified descriptors ----------------------------------------------------
 
 
-def _return_structure(g, component, d):
-    """Weighted core, basepoint, the exact start w0 of the full d-multiple
-    tail of basepoint return lengths, and the lengths of the one or two
-    shortest first-return loops at the basepoint."""
-    core, core_edges = contract_chains(g, component)
-    base = core[0]
-    loops = first_return_loops(core, core_edges, base)
-    w0 = return_tail_start(core, core_edges, base, d, loops[0])
-    return core, core_edges, base, w0, loops
+@dataclass(frozen=True)
+class SftComponent:
+    """One nontrivial component, analysed once: its period d, weighted core
+    and basepoint, the lengths of the one or two shortest first-return loops
+    there, the exact start w0 of the full d-multiple tail of basepoint
+    return lengths, and its closed-walk counts p_1..p_L."""
+
+    component: frozenset
+    d: int
+    core: list
+    core_edges: list
+    base: object
+    loops: tuple
+    w0: int
+    counts: tuple
 
 
-def _sft_descriptor(g: DirectedMultigraph, least: bool) -> PeriodSetDescriptor:
-    """Certified descriptor of the period set, or with ``least`` of the
-    least-period set, united over the nontrivial components: d * ({n >=
-    tau} | extras) per component of period d, the extras read off exact
-    counts below tau (Möbius-inverted for least periods), and {c} for the
-    least periods of a single c-cycle."""
+def sft_components(g: DirectedMultigraph, N: int = 0) -> list[SftComponent]:
+    """The record of every nontrivial component, counted up to
+    L = max(N, w0 + a + b - d): every length below either certified
+    threshold, and the horizon N."""
     dec = scc_decompose(g)
-    finite: set = set()
-    comps = []
+    out = []
     for i in dec.nontrivial:
         component = dec.components[i]
         d = component_period(g, component)
-        _, _, _, w0, loops = _return_structure(g, component, d)
-        if least and len(loops) == 1:
-            finite.add(loops[0])
+        core, core_edges = contract_chains(g, component)
+        base = core[0]
+        loops = first_return_loops(core, core_edges, base)
+        w0 = return_tail_start(core, core_edges, base, d, loops[0])
+        counts = component_walk_counts(g, component, max(N, w0 + sum(loops) - d))
+        out.append(SftComponent(component, d, core, core_edges, base, loops, w0, tuple(counts)))
+    return out
+
+
+def sft_analysis(g: DirectedMultigraph, N: int = 0):
+    """(p_1..p_N, period-set descriptor, least-period-set descriptor) of the
+    edge shift of ``g``, from one pass over :func:`sft_components`. Each
+    component of period d contributes d * ({n >= tau} | extras), the extras
+    read off its exact counts below tau (Möbius-inverted for least
+    periods), and a single c-cycle contributes the least period c."""
+    p = [0] * N
+    periods, finite, least = [], set(), []
+    for c in sft_components(g, N):
+        d, counts = c.d, c.counts
+        for n in range(N):
+            p[n] += counts[n]
+        tau = c.w0 // d
+        periods.append((d, tau, {k for k in range(1, tau) if counts[d * k - 1] > 0}))
+        if len(c.loops) == 1:
+            finite.add(c.loops[0])
             continue
-        tau = (w0 + sum(loops)) // d if least else w0 // d
-        counts = component_walk_counts(g, component, d * (tau - 1)) if tau > 1 else []
-        if least:
-            counts = mobius_invert(counts)
-            if any(c < 0 for c in counts):
-                raise AssertionError("negative least-period count")
-        extras = {k for k in range(1, tau) if counts[d * k - 1] > 0}
-        comps.append((d, tau, extras))
-    return PeriodSetDescriptor.make(finite, comps, certified=True)
+        tau = (c.w0 + sum(c.loops)) // d
+        q = mobius_invert(counts[: d * (tau - 1)])
+        if any(x < 0 for x in q):
+            raise AssertionError("negative least-period count")
+        least.append((d, tau, {k for k in range(1, tau) if q[d * k - 1] > 0}))
+    return (
+        p,
+        PeriodSetDescriptor.make((), periods, certified=True),
+        PeriodSetDescriptor.make(finite, least, certified=True),
+    )
 
 
 def ps_descriptor(g: DirectedMultigraph) -> PeriodSetDescriptor:
@@ -451,7 +483,7 @@ def ps_descriptor(g: DirectedMultigraph) -> PeriodSetDescriptor:
     so tau = w0 / d, and an exact sweep below the tail start decides the
     rest.
     """
-    return _sft_descriptor(g, least=False)
+    return sft_analysis(g)[1]
 
 
 def _floor_root_scaled(value: int, k: int, denom: int = _ROOT_DENOM) -> int:
@@ -639,4 +671,4 @@ def lps_descriptor_sft(g: DirectedMultigraph) -> PeriodSetDescriptor:
     loops, each in one run, so it is no proper power and q_n > 0 for every
     multiple n >= w0 + a + b. Results are united and canonicalized.
     """
-    return _sft_descriptor(g, least=True)
+    return sft_analysis(g)[2]

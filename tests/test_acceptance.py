@@ -4,7 +4,6 @@ tolerance. Each test prints a pass line with its elapsed time (run with
 
 import random
 import time
-from fractions import Fraction
 from itertools import product
 
 from periodlab.classification import (
@@ -42,6 +41,7 @@ from periodlab.sft_counting import (
     count_table,
     lps_descriptor_sft,
     ps_descriptor,
+    sft_components,
 )
 from periodlab.sofic import (
     determinize_and_minimize,
@@ -153,12 +153,13 @@ def test_criterion_3_ps_membership_and_monotonicity():
 
 
 def _exp_truncation(pn, N):
-    e = [Fraction(1)] + [Fraction(0)] * N
+    """Coefficients e_0..e_N of exp(sum p_n t^n / n), from the integer
+    recurrence n e_n = sum_j p_j e_(n-j); each division must be exact."""
+    e = [1] + [0] * N
     for k in range(1, N + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc += pn[j - 1] * e[k - j]
-        e[k] = acc / k
+        acc = sum(pn[j - 1] * e[k - j] for j in range(1, k + 1))
+        assert acc % k == 0
+        e[k] = acc // k
     return e
 
 
@@ -357,16 +358,12 @@ def test_criterion_9_receptive_points():
     assert is_receptive(dp, "100").receptive
     assert not is_receptive(dp, "0").receptive
     rec = receptive_lps_upto(dp, 30)
-    dec = scc_decompose(dp.lg.graph)
-    d = component_period(dp.lg.graph, dec.components[0])
+    (c,) = sft_components(dp.lg.graph)
+    d = c.d
     assert d == 1 and all(n % d == 0 for n in rec)
     # the complement within d*N sits below the certified threshold of the
     # cover's graph
-    from periodlab.sft_counting import _return_structure
-
-    component = dec.components[0]
-    _, _, _, w0, loops = _return_structure(dp.lg.graph, component, d)
-    tau = (w0 + sum(loops)) // d
+    tau = (c.w0 + sum(c.loops)) // d
     missing = [n for n in range(1, 31) if n % d == 0 and n not in rec]
     assert all(n < d * tau for n in missing)
     assert missing == [2]

@@ -91,6 +91,41 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert report["outputs"]["count_table_csv"].splitlines()[1] == "1,1,1"
 
+    def test_one_pass_per_component(self, tmp_path, capsys, monkeypatch):
+        # the golden mean and a 3-cycle, joined by a one-way edge: the walk
+        # DP and each return search run once per component, counted through
+        # both modules that call them
+        from periodlab import graph_core, sft_counting
+
+        calls = {}
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+
+            return counted
+
+        for name in ("component_walk_counts", "first_return_loops", "return_tail_start"):
+            counted = counting(name, getattr(graph_core, name))
+            for module in (graph_core, sft_counting):
+                monkeypatch.setattr(module, name, counted)
+        two = copy.deepcopy(GOLDEN)
+        two["vertices"] += ["x", "y", "z"]
+        two["edges"] += [
+            {"id": "f1", "from": "x", "to": "y"},
+            {"id": "f2", "from": "y", "to": "z"},
+            {"id": "f3", "from": "z", "to": "x"},
+            {"id": "j", "from": "b", "to": "x"},
+        ]
+        path = write(tmp_path, "two.json", two)
+        code, report = run(capsys, ["analyze", "--input", path, "--horizon", "9"])
+        assert code == EXIT_OK
+        assert calls == dict.fromkeys(calls, 2) and len(calls) == 3
+        assert report["outputs"]["ps_descriptor"]["components"] == [
+            {"d": 1, "threshold": 1, "extras": []}
+        ]
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -171,16 +206,17 @@ class TestAnalyze:
     def test_oracle_disagreement_exit_code(self, tmp_path, capsys, monkeypatch, field):
         # the golden mean's p_3 = 4 or q_3 = 3, raised by one, stays
         # positive, so only the comparison with the oracle's counts fails
-        from periodlab import cli
-        from periodlab.sft_counting import count_table
+        from periodlab.sft_counting import CountTable
 
-        def skewed_table(g, N):
-            table = count_table(g, N)
+        from_p = CountTable.from_p
+
+        def skewed_table(cls, p):
+            table = from_p(p)
             values = list(getattr(table, field))
             values[2] += 1
             return dataclasses.replace(table, **{field: tuple(values)})
 
-        monkeypatch.setattr(cli, "count_table", skewed_table)
+        monkeypatch.setattr(CountTable, "from_p", classmethod(skewed_table))
         path = write(tmp_path, "gm.json", GOLDEN)
         code = main(["analyze", "--input", path, "--horizon", "6"])
         lines = capsys.readouterr().out.splitlines()
@@ -558,7 +594,8 @@ class TestResourceLimits:
         from periodlab.graph_core import WALK_DP_CAP
 
         # forbidding 0^14 leaves an 8,191-vertex recode that is all core:
-        # count_table at n = 12 would take 8191 * 16382 * 12 DP steps
+        # its one walk-count DP, to the least-period threshold's n = 39
+        # (past the horizon 12), would take 8191 * 16382 * 39 steps
         spec = {"alphabet": ["0", "1"], "forbidden": [["0"] * 14]}
         path = write(tmp_path, "zeros.json", spec)
         start = time.perf_counter()
@@ -566,7 +603,7 @@ class TestResourceLimits:
         assert time.perf_counter() - start < 10
         assert code == EXIT_RESOURCE
         assert payload["error"] == "resource_limit"
-        assert f"{8191 * 16382 * 12} steps" in payload["detail"]
+        assert f"{8191 * 16382 * 39} steps" in payload["detail"]
         assert f"WALK_DP_CAP = {WALK_DP_CAP}" in payload["detail"]
 
     def test_recode_block_cap_exit_code(self, tmp_path, capsys):
@@ -636,7 +673,7 @@ class TestInternalError:
         def broken(g, N):
             raise ValueError("bug in the count table")
 
-        monkeypatch.setattr(cli, "count_table", broken)
+        monkeypatch.setattr(cli, "sft_analysis", broken)
         path = write(tmp_path, "gm.json", GOLDEN)
         code = main(["analyze", "--input", path, "--horizon", "4"])
         captured = capsys.readouterr()

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from periodlab import sft_counting as sc
 from periodlab.graph_core import (
-    component_period,
     component_walk_counts,
     enumerate_closed_paths,
-    scc_decompose,
     subdivide_edges,
     trace_power,
 )
@@ -143,6 +141,17 @@ class TestCountTable:
         assert sc.mobius_invert([1] * 5) == [1, 0, 0, 0, 0]
         with pytest.raises(ResourceLimitExceeded, match="mobius"):
             sc.mobius_invert([1] * 6)
+
+    def test_shared_pass_matches_count_table(self):
+        # the pass counts up to max(N, d(tau - 1)): at N = 1 the threshold
+        # is the longer length on about half these components, at N = 12
+        # and 40 the horizon is on all of them
+        rng = random.Random(4242)
+        for _ in range(300):
+            g = random_graph(rng)
+            for N in (1, 12, 40):
+                p, _, _ = sc.sft_analysis(g, N)
+                assert tuple(p) == count_table(g, N).p
 
     def test_csv(self, golden_mean):
         csv = count_table(golden_mean, 2).to_csv()
@@ -359,15 +368,11 @@ class TestLpsDescriptor:
 def _certificates(g):
     """Growth certificates of g's nontrivial components that are not single
     cycles, built on the same return structure as the embedding check's."""
-    dec = scc_decompose(g)
-    out = []
-    for i in dec.nontrivial:
-        component = dec.components[i]
-        d = component_period(g, component)
-        core, core_edges, base, w0, loops = sc._return_structure(g, component, d)
-        if len(loops) == 2:
-            out.append(sc.growth_certificate(component, d, core, core_edges, base, w0))
-    return out
+    return [
+        sc.growth_certificate(c.component, c.d, c.core, c.core_edges, c.base, c.w0)
+        for c in sc.sft_components(g)
+        if len(c.loops) == 2
+    ]
 
 
 def _certificate_corpus():
@@ -483,15 +488,11 @@ class TestThresholdSearch:
 def _loop_thresholds(g):
     """(component, d, tau) for g's nontrivial components that are not
     single cycles, tau = (w0 + a + b) / d as lps_descriptor_sft takes it."""
-    dec = scc_decompose(g)
-    out = []
-    for i in dec.nontrivial:
-        component = dec.components[i]
-        d = component_period(g, component)
-        _, _, _, w0, loops = sc._return_structure(g, component, d)
-        if len(loops) == 2:
-            out.append((component, d, (w0 + sum(loops)) // d))
-    return out
+    return [
+        (c.component, c.d, (c.w0 + sum(c.loops)) // c.d)
+        for c in sc.sft_components(g)
+        if len(c.loops) == 2
+    ]
 
 
 class TestLoopThreshold:
