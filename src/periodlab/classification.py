@@ -30,7 +30,6 @@ from .sft_counting import (
     CertificationError,
     PeriodSetDescriptor,
     count_table,
-    descriptors_equal_sets,
     growth_certificate,
     sft_components,
     solve_growth_dominates,
@@ -53,7 +52,7 @@ def descriptor_scale(a: PeriodSetDescriptor, d: int) -> PeriodSetDescriptor:
         raise ValueError("scale must be >= 1")
     return PeriodSetDescriptor.make(
         {d * n for n in a.finite_part},
-        [(d * c.scale, c.threshold, c.extras) for c in a.components],
+        [(d * c.scale, c.threshold, ()) for c in a.components],
         certified=a.certified,
     )
 
@@ -63,8 +62,9 @@ def descriptor_member(a: PeriodSetDescriptor, n: int) -> bool:
 
 
 def descriptor_equal(a: PeriodSetDescriptor, b: PeriodSetDescriptor) -> bool:
-    """Set equality (the certified flags are not compared)."""
-    return descriptors_equal_sets(a, b)
+    """Set equality (the certified flags are not compared): equal sets have
+    equal canonical forms."""
+    return a.finite_part == b.finite_part and a.components == b.components
 
 
 # -- Table 1 shape predicates ---------------------------------------------------

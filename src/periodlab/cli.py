@@ -134,6 +134,15 @@ def _check_numbers(numbers) -> None:
         )
 
 
+def _descriptor_input(data) -> PeriodSetDescriptor:
+    """A descriptor input, its numbers checked before its canonical form is
+    built: the cost of the form grows with its thresholds."""
+    comps = data.get("components", ())
+    numbers = [*data.get("finite", ()), *(c[k] for c in comps for k in ("d", "threshold"))]
+    _check_numbers(map(int, numbers))
+    return PeriodSetDescriptor.from_json(data)
+
+
 def detect_kind(data) -> str:
     if not isinstance(data, dict):
         raise ParseFailure("top-level JSON value must be an object")
@@ -316,10 +325,7 @@ def cmd_realize(args) -> RunReport:
     raw, data = _load_json(args.input)
     if detect_kind(data) != "descriptor":
         raise ParseFailure("realize needs a descriptor input")
-    desc = _from_data(PeriodSetDescriptor.from_json, data)
-    _check_numbers(
-        [*desc.finite_part, *(x for c in desc.components for x in (c.scale, c.threshold))]
-    )
+    desc = _from_data(_descriptor_input, data)
     report = RunReport("realize", _digest(raw), args.horizon)
     request = LpsRequest(desc, args.target)
     request.validate()

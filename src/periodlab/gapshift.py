@@ -280,7 +280,7 @@ def gap_lps(s: GapSet) -> PeriodSetDescriptor:
     if not s.is_finite_set:
         desc = PeriodSetDescriptor.make(
             set(desc.finite_part) | {1},
-            [(c.scale, c.threshold, c.extras) for c in desc.components],
+            desc.components,
             certified=True,
         )
     return desc
@@ -314,7 +314,7 @@ def gap_realize(q: PeriodSetDescriptor) -> GapSet:
             if c.contains(1):
                 comps.append((1, 2, ()))  # drop 1, keep {2, 3, ...}
             else:
-                comps.append((c.scale, c.threshold, c.extras))
+                comps.append(c)
         body = PeriodSetDescriptor.make(
             set(q.finite_part) - {1}, comps, certified=q.certified
         )

@@ -163,8 +163,7 @@ def realize_reducible_sft(desc: PeriodSetDescriptor) -> DirectedMultigraph:
     for n in sorted(desc.finite_part):
         pieces.append(realize_irreducible_sft(PeriodSetDescriptor.singleton(n)))
     for c in desc.components:
-        piece = PeriodSetDescriptor.make((), [(c.scale, c.threshold, c.extras)])
-        pieces.append(realize_irreducible_sft(piece))
+        pieces.append(realize_irreducible_sft(PeriodSetDescriptor.make((), [c])))
     return disjoint_union(pieces)
 
 
@@ -448,20 +447,15 @@ def realize_arbitrary(S, *, infinite: bool | None = None, horizon: int = 256) ->
 
 
 def _is_multiplicatively_closed(desc: PeriodSetDescriptor) -> bool:
-    """n in S implies k n in S, decided exactly: below the structural bound
-    by sweeping, beyond it through the periodic tail."""
-    bound = desc.structural_bound()
-    period = desc.tail_lcm()
-    members = desc.members_upto(bound)
-    for m in members:
-        for x in range(2 * m, bound + 1, m):
-            if not desc.contains(x):
-                return False
-        # multiples past the bound cycle with period `period` in the tail
-        start = (bound // m + 1) * m
-        for x in range(start, start + m * (period + 1), m):
-            if not desc.contains(x):
-                return False
+    """n in S implies k n in S, read off the scales. A component's members
+    are closed under multiples. A finite member m needs a scale d | m: with L
+    the tail lcm, m * (1 + kL) is a multiple of no scale that does not
+    divide m. Its multiples from d * t on are then members, so only those
+    below need checking."""
+    for m in desc.finite_part:
+        covers = [c.scale * c.threshold for c in desc.components if m % c.scale == 0]
+        if not covers or not all(desc.contains(x) for x in range(2 * m, min(covers), m)):
+            return False
     return True
 
 

@@ -17,7 +17,7 @@ systems' counts beyond a crossover for the embedding check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, log2
+from math import log2
 
 from . import arith
 from .arith import ResourceLimitExceeded, iroot, lcm
@@ -191,23 +191,22 @@ def count_table(g: DirectedMultigraph, N: int) -> CountTable:
 
 @dataclass(frozen=True)
 class DescriptorComponent:
-    """The set scale * ({n : n >= threshold} | extras)."""
+    """The set scale * {n : n >= threshold}. In a descriptor built by
+    :meth:`PeriodSetDescriptor.make` the threshold is the least one the
+    whole set allows."""
 
     scale: int
     threshold: int
-    extras: frozenset
 
     def contains(self, n: int) -> bool:
-        if n <= 0 or n % self.scale:
-            return False
-        k = n // self.scale
-        return k >= self.threshold or k in self.extras
+        return n % self.scale == 0 and n // self.scale >= self.threshold
 
 
 @dataclass(frozen=True)
 class PeriodSetDescriptor:
-    """Exact finite representation of a set F | union of d_i * S_i
-    (F finite, each S_i cofinite), in a canonical form.
+    """Exact finite representation of a set F | union of d_i * {n >= t_i}
+    (F finite), in a form decided by the set alone (see :meth:`make`), so
+    equal sets have equal descriptors and equal JSON.
 
     ``certified`` means membership agrees with ground truth for all n, not
     just below some horizon.
@@ -219,17 +218,17 @@ class PeriodSetDescriptor:
 
     @classmethod
     def make(cls, finite=(), components=(), certified=False) -> "PeriodSetDescriptor":
-        comps = [
-            (int(d), int(t), frozenset(int(e) for e in extras))
-            for (d, t, extras) in (
-                (c.scale, c.threshold, c.extras) if isinstance(c, DescriptorComponent) else c
-                for c in components
-            )
-        ]
-        fin, comps = _canonicalize(set(int(x) for x in finite), comps)
+        """The canonical descriptor (see :func:`_canonicalize`) of F | union
+        of d * ({n >= t} | extras), from :class:`DescriptorComponent` values
+        or (d, t, extras) triples. Raises ``ValueError`` on a member, scale
+        or threshold below 1, or an extra outside 1 <= e < t."""
+        fin, comps = _canonicalize(finite, [
+            (c.scale, c.threshold, ()) if isinstance(c, DescriptorComponent) else c
+            for c in components
+        ])
         return cls(
             frozenset(fin),
-            tuple(DescriptorComponent(d, t, frozenset(e)) for (d, t, e) in comps),
+            tuple(DescriptorComponent(d, t) for (d, t) in comps),
             bool(certified),
         )
 
@@ -264,7 +263,7 @@ class PeriodSetDescriptor:
         """All membership beyond this bound is tail-periodic."""
         b = max(self.finite_part, default=0)
         for c in self.components:
-            b = max(b, c.scale * c.threshold, c.scale * max(c.extras, default=0))
+            b = max(b, c.scale * c.threshold)
         return b
 
     def tail_lcm(self) -> int:
@@ -273,53 +272,33 @@ class PeriodSetDescriptor:
             out = lcm(out, c.scale)
         return out
 
-    def gcd(self) -> int:
-        """gcd of all members (0 for the empty set): a component's members
-        d*t, d*(t+1), ... contribute d*t and d*(t+1), which generate the
-        rest."""
-        g = 0
-        for n in self.finite_part:
-            g = gcd(g, n)
-        for c in self.components:
-            g = gcd(g, c.scale * c.threshold)
-            g = gcd(g, c.scale * (c.threshold + 1))
-            for e in c.extras:
-                g = gcd(g, c.scale * e)
-        return g
-
     def sft_shape(self):
         """The set's irreducible-SFT form: ('singleton', d) for {d},
         ('scaled_cofinite', g, N, F) for g * (F | {N, N+1, ...}) with g the
         gcd of the members and N least, or None when it is neither.
 
-        Past the structural bound membership repeats with the tail lcm L, so
-        L + 1 consecutive multiples of g there decide the whole tail."""
-        if self.is_empty:
-            return None
-        if self.is_finite:
+        Read off the canonical form: every member is a multiple of g and
+        every large multiple of g is a member exactly when the form has one
+        component, of scale g, and g divides every finite member."""
+        if not self.components:
             if len(self.finite_part) == 1:
                 return ("singleton", min(self.finite_part))
             return None
-        g = self.gcd()
-        period = self.tail_lcm()
-        start = (self.structural_bound() + period) // g + 1
-        if not all(self.contains(g * k) for k in range(start, start + period + 1)):
+        c, *rest = self.components
+        if rest or any(n % c.scale for n in self.finite_part):
             return None
-        N = start
-        while N > 1 and self.contains(g * (N - 1)):
-            N -= 1
         return (
             "scaled_cofinite",
-            g,
-            N,
-            tuple(m // g for m in self.members_upto(g * N - 1)),
+            c.scale,
+            c.threshold,
+            tuple(sorted(n // c.scale for n in self.finite_part)),
         )
 
     def to_json(self) -> dict:
         return {
             "finite": sorted(self.finite_part),
             "components": [
-                {"d": c.scale, "threshold": c.threshold, "extras": sorted(c.extras)}
+                {"d": c.scale, "threshold": c.threshold, "extras": []}
                 for c in self.components
             ],
             "certified": self.certified,
@@ -334,74 +313,49 @@ class PeriodSetDescriptor:
         )
 
 
-def _comp_contains(comp, n: int) -> bool:
-    d, t, extras = comp
-    if n <= 0 or n % d:
-        return False
-    k = n // d
-    return k >= t or k in extras
+def _canonicalize(finite, comps: list):
+    """The form of F | union of d * ({n >= t} | extras), decided by the set.
 
-
-def _comp_subsumed(a, b) -> bool:
-    """Is the tail set of component a contained in that of component b?"""
-    da, ta = a
-    db, tb = b
-    return da % db == 0 and da * ta >= db * tb
-
-
-def _canonicalize(finite: set, comps: list):
-    """Canonical form: extras are drained into the finite part, thresholds
-    are pulled down over adjacent finite members, subsumed components are
-    dropped, and the finite part is disjoint from every component."""
-    work = []
+    A cyclic subgroup of Z/LZ that lies inside a union of subgroups lies
+    inside one of them, so the scales whose large multiples are all members
+    are the multiples of the input scales, and the divisibility-minimal
+    input scales are the set's own. Each keeps its least input threshold,
+    walked down while the multiple below is a member. The finite part is
+    the members no kept component covers: input and extra members, and the
+    members of a dropped component below its cover's tail."""
+    finite = {int(x) for x in finite}
+    tails = {}
     for d, t, extras in comps:
+        d, t = int(d), int(t)
         if d < 1 or t < 1:
             raise ValueError("component needs scale >= 1 and threshold >= 1")
-        for e in extras:
+        for e in map(int, extras):
             if not 1 <= e < t:
                 raise ValueError("extras must lie strictly below the threshold")
             finite.add(d * e)
-        work.append((d, t))
-    comps = work
-    changed = True
-    while changed:
-        changed = False
-        # threshold pull-down over adjacent finite members
-        for i, (d, t) in enumerate(comps):
-            while t > 1 and d * (t - 1) in finite:
-                finite.discard(d * (t - 1))
+        tails[d] = min(t, tails.get(d, t))
+    if any(n < 1 for n in finite):
+        raise ValueError("finite members must be >= 1")
+
+    def covered(n, by):
+        return any(n % d == 0 and n // d >= t for d, t in by.items())
+
+    kept = {}
+    for d, t in tails.items():
+        if not any(e != d and d % e == 0 for e in tails):
+            while t > 1 and (d * (t - 1) in finite or covered(d * (t - 1), tails)):
                 t -= 1
-                changed = True
-            comps[i] = (d, t)
-        # drop subsumed components (keep the first of equals)
-        comps.sort()
-        kept = []
-        for i, c in enumerate(comps):
-            drop = False
-            for j, other in enumerate(comps):
-                if i == j:
-                    continue
-                if _comp_subsumed(c, other) and not (
-                    j > i and _comp_subsumed(other, c)
-                ):
-                    drop = True
-                    break
-            if drop:
-                changed = True
-            else:
-                kept.append(c)
-        comps = kept
-        # finite members covered by a component disappear
-        for n in sorted(finite):
-            if any(_comp_contains((d, t, ()), n) for (d, t) in comps):
-                finite.discard(n)
-                changed = True
-    comps.sort()
-    return finite, [(d, t, set()) for (d, t) in comps]
+            kept[d] = t
+    for d, t in tails.items():
+        if d not in kept:
+            cover = min(e * s for e, s in kept.items() if d % e == 0)
+            finite.update(range(d * t, cover, d))
+    return {n for n in finite if not covered(n, kept)}, sorted(kept.items())
 
 
 def descriptors_equal_sets(a: PeriodSetDescriptor, b: PeriodSetDescriptor) -> bool:
-    """Exact set equality, decided by a sweep up to the joint periodic tail."""
+    """Exact set equality, decided by a sweep up to the joint periodic tail;
+    the tests' reference for the canonical form."""
     bound = max(a.structural_bound(), b.structural_bound())
     period = lcm(a.tail_lcm(), b.tail_lcm())
     horizon = bound + period

@@ -252,7 +252,7 @@ def test_criterion_6_gap_shifts():
         if built % 3 == 2 and not q.contains(1) and not q.is_finite:
             q = PeriodSetDescriptor.make(
                 set(q.finite_part) | {1},
-                [(c.scale, c.threshold, c.extras) for c in q.components],
+                q.components,
                 certified=True,
             )
         s = gap_realize(q)

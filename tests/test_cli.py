@@ -345,15 +345,22 @@ class TestRealize:
             (
                 ["realize", "--target", "irreducible_sft"],
                 {"finite": [], "components": [{"d": 2, "threshold": big}]},
+                big,
             ),
-            (["analyze"], {"finite": [1], "progressions": [{"a": 2, "r": big}]}),
+            (["analyze"], {"finite": [1], "progressions": [{"a": 2, "r": big}]}, big),
+            (
+                # refused before the canonical form lists the evens below 10**9
+                ["realize", "--target", "reducible_sft"],
+                {"components": [{"d": 1, "threshold": 10**9}, {"d": 2, "threshold": 1}]},
+                10**9,
+            ),
         ]
-        for argv, payload in cases:
+        for argv, payload, number in cases:
             path = write(tmp_path, "big.json", payload)
             code, out = run(capsys, argv + ["--input", path])
             assert code == EXIT_RESOURCE
             assert out["error"] == "resource_limit"
-            assert f"input number {big} exceeds INPUT_NUMBER_CAP" in out["detail"]
+            assert f"input number {number} exceeds INPUT_NUMBER_CAP" in out["detail"]
 
     def test_realize_vertex_cap(self, tmp_path, capsys):
         # {n >= 100} would take 35,012,249 vertices; both sofic targets
@@ -370,6 +377,32 @@ class TestRealize:
             assert out["error"] == "resource_limit"
             assert "35012249 vertices" in out["detail"]
             assert "REALIZE_VERTEX_CAP = 20000" in out["detail"]
+
+    def test_coprime_scales_read_off_the_form(self, tmp_path, capsys):
+        # the tail lcm of 997, 991 and 983 is about 9.7e8; no step may
+        # sweep to it
+        import time
+
+        payload = {"components": [{"d": d, "threshold": 1} for d in (997, 991, 983)]}
+        path = write(tmp_path, "coprime.json", payload)
+        start = time.perf_counter()
+        code, report = run(capsys, ["realize", "--input", path, "--target", "reducible_sft"])
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_OK and report["outputs"]["round_trip"] is True
+        start = time.perf_counter()
+        code, out = run(capsys, ["realize", "--input", path, "--target", "period_set_variant"])
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_RESOURCE
+        assert "REALIZE_VERTEX_CAP = 20000" in out["detail"]
+
+    def test_members_below_one_are_parse_errors(self, tmp_path, capsys):
+        for finite in ([-7], [0, 3]):
+            path = write(tmp_path, "low.json", {"finite": finite, "components": []})
+            for target in ("irreducible_sft", "reducible_sft"):
+                code, out = run(capsys, ["realize", "--input", path, "--target", target])
+                assert code == EXIT_PARSE
+                assert out["error"] == "parse"
+                assert "finite members must be >= 1" in out["detail"]
 
     def test_arbitrary_target(self, tmp_path, capsys):
         path = write(

@@ -187,7 +187,7 @@ class TestGapRealize:
                 descriptors.append(
                     PeriodSetDescriptor.make(
                         set(base.finite_part) | {1},
-                        [(c.scale, c.threshold, c.extras) for c in base.components],
+                        base.components,
                         certified=True,
                     )
                 )

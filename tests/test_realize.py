@@ -8,6 +8,7 @@ from periodlab.graph_core import enumerate_closed_paths, scc_decompose
 from periodlab.realize import (
     LpsRequest,
     ShapeError,
+    _is_multiplicatively_closed,
     realize_arbitrary,
     realize_irreducible_sft,
     realize_period_set,
@@ -270,6 +271,28 @@ class TestPeriodSetVariant:
         # 2 is a member but 4 is not: not a period set
         with pytest.raises(ShapeError):
             realize_period_set(desc)
+
+    def test_closure_against_membership_sweep(self):
+        """The closure test reads the scales; the reference sweeps every
+        member's multiples through one full period of the tail."""
+        rng = random.Random(7)
+        closed = 0
+        for _ in range(3000):
+            comps = []
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                t = rng.randint(1, 7)
+                extras = rng.sample(range(1, t), rng.randint(0, t - 1))
+                comps.append((rng.choice((1, 2, 3, 4, 5, 6, 8)), t, extras))
+            desc = PeriodSetDescriptor.make(rng.sample(range(1, 30), rng.randint(0, 3)), comps)
+            bound, L = desc.structural_bound(), desc.tail_lcm()
+            expect = all(
+                desc.contains(k * m)
+                for m in desc.members_upto(bound)
+                for k in range(2, bound // m + L + 2)
+            )
+            assert _is_multiplicatively_closed(desc) == expect, desc.to_json()
+            closed += expect
+        assert 300 < closed < 2700
 
 
 class TestRequests:

@@ -199,22 +199,76 @@ class TestDescriptorCanonical:
         d = PeriodSetDescriptor.make({5}, [(3, 2, ())], certified=True)
         assert PeriodSetDescriptor.from_json(d.to_json()) == d
 
-    def test_gcd_of_members(self):
-        from math import gcd
+    def test_three_forms_of_all_naturals(self):
+        for finite, comps in (
+            ((), [(1, 1, ())]),
+            ({1}, [(1, 3, ()), (2, 1, ())]),
+            ({1, 3, 5}, [(1, 7, ()), (2, 1, ())]),
+        ):
+            assert PeriodSetDescriptor.make(finite, comps).to_json() == {
+                "finite": [],
+                "components": [{"d": 1, "threshold": 1, "extras": []}],
+                "certified": False,
+            }
 
-        assert PeriodSetDescriptor.empty().gcd() == 0
-        rng = random.Random(83)
-        for _ in range(200):
-            comps = [
-                (rng.randint(1, 6), rng.randint(1, 5), ())
-                for _ in range(rng.randint(0, 2))
+    def test_random_graphs_all_naturals(self):
+        rng = random.Random(4242)
+        graphs = [random_graph(rng) for _ in range(296)]
+        for i in (64, 295):
+            assert lps_descriptor_sft(graphs[i]) == PeriodSetDescriptor.make(
+                (), [(1, 1, ())], certified=True
+            )
+
+    def test_canonical_by_the_set(self):
+        """make keeps the set, is idempotent, ignores input order, and gives
+        equal JSON to inputs that the membership sweep calls equal, including
+        rewrites that lift thresholds into extras and add covered
+        components."""
+        rng = random.Random(6163)
+        by_members = {}
+        for _ in range(600):
+            comps = []
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                t = rng.randint(1, 7)
+                extras = rng.sample(range(1, t), rng.randint(0, t - 1))
+                comps.append((rng.choice((1, 1, 2, 3, 4, 6)), t, extras))
+            finite = rng.sample(range(1, 25), rng.randint(0, 3))
+            d = PeriodSetDescriptor.make(finite, comps, certified=True)
+            # every structural bound here is below 60 and every tail lcm
+            # divides 12, so members up to 72 decide the set
+            assert d.members_upto(72) == [
+                n
+                for n in range(1, 73)
+                if n in finite
+                or any(n % s == 0 and (n // s >= t or n // s in e) for s, t, e in comps)
             ]
-            finite = rng.sample(range(1, 40), rng.randint(0, 3))
-            d = PeriodSetDescriptor.make(finite, comps)
-            expect = 0
-            for n in d.members_upto(d.structural_bound() + 2 * d.tail_lcm() + 1):
-                expect = gcd(expect, n)
-            assert d.gcd() == expect, d.to_json()
+            assert PeriodSetDescriptor.make(d.finite_part, d.components, True) == d
+            assert PeriodSetDescriptor.from_json(d.to_json()) == d
+            shuffled = [(s, t, e[::-1]) for (s, t, e) in comps]
+            rng.shuffle(shuffled)
+            assert PeriodSetDescriptor.make(finite[::-1], shuffled, True) == d
+            # the same set written another way
+            members = d.members_upto(d.structural_bound() + 12)
+            rewritten = [
+                (c.scale, c.threshold + k, range(c.threshold, c.threshold + k))
+                for c in d.components
+                for k in (rng.randint(0, 3),)
+            ]
+            for c in d.components:
+                m = rng.randint(2, 3)
+                rewritten.append((m * c.scale, rng.randint(c.threshold // m + 1, 9), ()))
+            extra = rng.sample(members, min(len(members), rng.randint(0, 4)))
+            other = PeriodSetDescriptor.make(set(d.finite_part) | set(extra), rewritten, True)
+            assert descriptors_equal_sets(other, d)
+            assert other.to_json() == d.to_json()
+            by_members.setdefault(tuple(d.members_upto(72)), []).append(d)
+        collisions = 0
+        for group in by_members.values():
+            for other in group[1:]:
+                assert descriptors_equal_sets(group[0], other)
+                assert other.to_json() == group[0].to_json()
+                collisions += 1
+        assert collisions > 100
 
     def test_sft_shape_against_membership_sweep(self):
         from math import gcd
