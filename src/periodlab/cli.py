@@ -94,6 +94,61 @@ def _digest(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte. With
+    ``indent`` set the stdlib runs its pure-Python encoder; here only the
+    containers are written in Python and strings go through the C escaper.
+    Separators are shared between the parts, as the stdlib's are."""
+    out: list = []
+    _write_json(obj, out.append, "\n")
+    return "".join(out)
+
+
+def _write_json(obj, put, pad: str) -> None:
+    if isinstance(obj, str):
+        put(_escape(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, float):
+        put(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = pad + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in obj:
+            put(sep)
+            _write_json(item, put, inner)
+            sep = comma
+        put(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = pad + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, value in sorted(obj.items()):
+            put(sep)
+            # json.dumps turns int, float, bool and None keys into strings
+            put(_escape(key if isinstance(key, str) else json.dumps(key)))
+            put(": ")
+            _write_json(value, put, inner)
+            sep = comma
+        put(pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _load_json(path: str):
     def no_constant(name):
         raise ParseFailure(f"{path}: {name} is not a JSON number")
@@ -380,8 +435,7 @@ def cmd_realize(args) -> RunReport:
             if args.format == "dot" and rendered:
                 fh.write(rendered)
             else:
-                json.dump(artifact, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                fh.write(_json_text(artifact) + "\n")
     if not verdict:
         raise OracleDisagreement("realization round trip failed")
     return report
@@ -512,7 +566,7 @@ def _run(argv) -> int:
         sys.stderr.write(traceback.format_exc())
         return EXIT_INTERNAL
     report.timing_ms = round((time.monotonic() - start) * 1000.0, 3)
-    print(json.dumps(report.to_json(), sort_keys=True, indent=2))
+    print(_json_text(report.to_json()))
     return EXIT_OK
 
 

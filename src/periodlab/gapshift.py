@@ -341,15 +341,23 @@ def _closure_witness(desc: PeriodSetDescriptor):
 
     Exact: past the structural bound membership is periodic with the tail
     lcm L, so every pair of members is equivalent (membership of the sum
-    included) to a pair of representatives below bound + 2L.
+    included) to a pair of representatives below bound + 2L. Members are
+    listed lazily, in increasing order, while the least one is paired with
+    each next one: a witness there (983 + 991 for the scales 983, 991 and
+    997, whose L is about 9.7e8) ends the search before the list is built.
     """
     if desc.is_empty:
         return None
-    bound = desc.structural_bound()
-    L = desc.tail_lcm()
-    members = desc.members_upto(bound + 2 * L)
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
+    limit = desc.structural_bound() + 2 * desc.tail_lcm()
+    members = (n for n in range(1, limit + 1) if desc.contains(n))
+    first = next(members)
+    listed = [first]
+    for y in members:
+        if not desc.contains(first + y):
+            return (first, y)
+        listed.append(y)
+    for i, x in enumerate(listed[1:], start=2):
+        for y in listed[i:]:
             if not desc.contains(x + y):
                 return (x, y)
     return None

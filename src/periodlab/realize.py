@@ -35,7 +35,7 @@ TARGETS = (
 # largest sofic realization built, in vertices, summed from the planned
 # sections before any is built; the CLI's round-trip check of a realization
 # costs far more than building it, and grows faster than its size
-REALIZE_VERTEX_CAP = 20_000
+REALIZE_VERTEX_CAP = 30_000
 
 
 class ShapeError(ValueError):

@@ -228,27 +228,47 @@ def relation_step(rel: tuple, step) -> tuple:
 
 def relation_has_cycle(sources, rows) -> bool:
     """Does the digraph with an edge v -> y for each bit y of the row of
-    source v contain a cycle?  Peels vertices without an alive successor or
-    an alive predecessor until nothing changes."""
+    source v contain a cycle?"""
+    alive = _sources_reached(sources, rows)
+    return bool(alive) and _cycle_search(sources, rows, alive)
+
+
+def _sources_reached(sources, rows) -> int:
+    """Mask of the sources, or 0 when no row reaches one: then the relation
+    has no edge between sources and no cycle, as for most relations of a
+    class pass on a realized presentation."""
     alive = 0
     for v in sources:
         alive |= 1 << v
-    # rows that reach no source leave no edge, as in most relations of a
-    # class pass on a realized presentation
-    if not reduce(or_, rows, 0) & alive:
-        return False
-    while alive:
-        keep = hit = 0
-        for v, row in zip(sources, rows):
-            if alive >> v & 1:
-                row &= alive
-                if row:
-                    keep |= 1 << v
-                    hit |= row
-        keep &= hit
-        if keep == alive:
+    return alive if reduce(or_, rows, 0) & alive else 0
+
+
+def _cycle_search(sources, rows, alive: int) -> bool:
+    """Iterative depth-first search over the sources (``alive``, their
+    mask), O(V + E) steps on V-bit masks: a row that meets the current path
+    closes a cycle. Only sources have rows, so only they are entered."""
+    succ = dict(zip(sources, rows))
+    unseen = alive
+    for root in sources:
+        if not unseen >> root & 1:
+            continue
+        unseen ^= 1 << root
+        path = 1 << root
+        if succ[root] & path:
             return True
-        alive = keep
+        stack = [root]
+        while stack:
+            nxt = succ[stack[-1]] & unseen
+            if nxt:
+                low = nxt & -nxt
+                unseen ^= low
+                path |= low
+                y = low.bit_length() - 1
+                if succ[y] & path:
+                    return True
+                stack.append(y)
+            else:
+                path ^= 1 << stack.pop()
     return False
 
 
@@ -363,12 +383,25 @@ def sofic_period_counts(lg: LabeledGraph, N: int):
             raise ResourceLimitExceeded("relation-class cap exceeded")
         total = 0
         for rel, (cnt, rep) in level.items():
-            cyc = cycles.get(rel)  # engine.has_cycle's memo, read directly
+            cyc = cycles.get(rel)  # engine.has_cycle's memo, written directly
+            rho = 0
             if cyc is None:
-                cyc = engine.has_cycle(rel)
+                rows = engine.row_masks(rel[1])
+                alive = _sources_reached(rel[0], rows)
+                cyc = False
+                if alive:
+                    # rep = u^(n/ρ) has relation R_u^(n/ρ), and a digraph's
+                    # power has a cycle exactly when the digraph has one: u's
+                    # class was decided at level ρ
+                    rho = least_rotation_period(rep)
+                    if rho < n:
+                        cyc = cycles[word_relation(lg, rep[:rho])]
+                    else:
+                        cyc = _cycle_search(rel[0], rows, alive)
+                cycles[rel] = cyc
             if cyc:
                 total += cnt
-                rho = least_rotation_period(rep)
+                rho = rho or least_rotation_period(rep)
                 if rho not in witnesses:
                     witnesses[rho] = word_str(min_rotation(rep[:rho]))
         p[n - 1] = total

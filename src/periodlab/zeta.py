@@ -11,7 +11,8 @@ rational functions reduced by a gcd over the integers (a primitive
 pseudo-remainder sequence), and power series in ints (Fractions when the
 denominator's constant term is not +-1). No floating point
 anywhere in this module, since zero-testing of sequence terms must be
-exact.
+exact. A component whose elimination would pass ``ZETA_WORK_CAP`` raises
+:class:`ResourceLimitExceeded` before it starts.
 """
 
 from __future__ import annotations
@@ -20,9 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import lcm
+from .arith import ResourceLimitExceeded, lcm
 from .graph_core import DirectedMultigraph, contract_chains, scc_decompose
 from .sft_counting import PeriodSetDescriptor
+
+
+# bound on k**3 * D**2 for one component, with k its weighted-core size and D
+# its edge count: Bareiss takes k**3 steps, each a product of polynomials of
+# degree at most D (which bounds every minor's degree)
+ZETA_WORK_CAP = 10**10
 
 
 class NoPatternFit(Exception):
@@ -269,12 +276,18 @@ def zeta_of_graph(g: DirectedMultigraph) -> RationalFunction:
     (one in-edge, one out-edge, pivot exactly 1) is a Schur complement that
     leaves the determinant unchanged, so each factor is det(I - B(t)) on the
     weighted core, with B(t)_uv the sum of t**w over core edges u -> v.
+    A component whose work bound passes ``ZETA_WORK_CAP`` is refused.
     """
     dec = scc_decompose(g)
     det = IntPolynomial.one()
     for i in dec.nontrivial:
         core, core_edges = contract_chains(g, dec.components[i])
         k = len(core)
+        work = k**3 * sum(w for _u, _v, w in core_edges) ** 2
+        if work > ZETA_WORK_CAP:
+            raise ResourceLimitExceeded(
+                f"zeta elimination work k^3 D^2 = {work} exceeds ZETA_WORK_CAP = {ZETA_WORK_CAP}"
+            )
         idx = {v: j for j, v in enumerate(core)}
         rows = [[[int(a == b)] for b in range(k)] for a in range(k)]
         for u, v, w in core_edges:

@@ -12,6 +12,7 @@ from periodlab.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_SHAPE,
+    _json_text,
     detect_kind,
     main,
 )
@@ -45,6 +46,21 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+@pytest.fixture(autouse=True)
+def reports_match_stdlib_json(monkeypatch):
+    """Every report and artifact written here is also encoded by
+    json.dumps(sort_keys=True, indent=2), which the writer must match byte
+    for byte."""
+    from periodlab import cli
+
+    def checked(obj):
+        text = _json_text(obj)
+        assert text == json.dumps(obj, sort_keys=True, indent=2)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
 
 
 class TestDetectKind:
@@ -376,7 +392,18 @@ class TestRealize:
             assert code == EXIT_RESOURCE
             assert out["error"] == "resource_limit"
             assert "35012249 vertices" in out["detail"]
-            assert "REALIZE_VERTEX_CAP = 20000" in out["detail"]
+            assert "REALIZE_VERTEX_CAP = 30000" in out["detail"]
+
+    def test_sofic_round_trip_below_the_cap(self, tmp_path, capsys):
+        # {n >= 16} takes 29,063 vertices; its least periods are counted
+        # back up to the horizon, and the artifact file holds the same graph
+        path = write(tmp_path, "tail16.json", {"components": [{"d": 1, "threshold": 16}]})
+        artifact = tmp_path / "artifact.json"
+        argv = ["realize", "--input", path, "--target", "irreducible_sofic", "--horizon", "12"]
+        code, report = run(capsys, argv + ["--output", str(artifact)])
+        assert code == EXIT_OK and report["outputs"]["round_trip"] is True
+        assert len(report["outputs"]["artifact"]["vertices"]) == 29063
+        assert json.loads(artifact.read_text()) == report["outputs"]["artifact"]
 
     def test_coprime_scales_read_off_the_form(self, tmp_path, capsys):
         # the tail lcm of 997, 991 and 983 is about 9.7e8; no step may
@@ -393,7 +420,7 @@ class TestRealize:
         code, out = run(capsys, ["realize", "--input", path, "--target", "period_set_variant"])
         assert time.perf_counter() - start < 10
         assert code == EXIT_RESOURCE
-        assert "REALIZE_VERTEX_CAP = 20000" in out["detail"]
+        assert "REALIZE_VERTEX_CAP = 30000" in out["detail"]
 
     def test_members_below_one_are_parse_errors(self, tmp_path, capsys):
         for finite in ([-7], [0, 3]):
@@ -863,3 +890,38 @@ class TestFuzz:
         out = capsys.readouterr().out
         assert code in (EXIT_OK, EXIT_PARSE, EXIT_SHAPE, EXIT_RESOURCE), (argv, doc, out)
         json.loads(out)
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"\\\n\t\x00\x7f', "é→😀", " \ud800"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(value=JSON_VALUES)
+    def test_matches_stdlib_indented_json(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_unserializable_value(self):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            _json_text({"a": [1, {2}]})

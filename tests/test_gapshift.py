@@ -175,6 +175,18 @@ class TestGapRealize:
             gap_realize(PeriodSetDescriptor.make({2, 3}, (), certified=True))
         assert err.value.witness == (2, 3)
 
+    def test_coprime_scales_witness_without_sweep(self):
+        # the tail lcm of 997, 991 and 983 is about 9.7e8; the first two
+        # members already miss their sum
+        import time
+
+        q = PeriodSetDescriptor.make((), [(d, 1, ()) for d in (997, 991, 983)], certified=True)
+        start = time.perf_counter()
+        with pytest.raises(GapShapeError) as err:
+            gap_realize(q)
+        assert time.perf_counter() - start < 5
+        assert err.value.witness == (983, 991)
+
     def test_round_trip_corpus(self):
         rng = random.Random(97)
         descriptors = []

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -278,6 +279,47 @@ class TestRelationEngine:
             sources, lg.relations.row_masks(row_ids), sofic._layer_relations(lg)[1]
         )
         assert got == {comp_of["A"], comp_of["C"]}
+
+    def test_long_chain(self):
+        # a path through 3,000 sources in shuffled order, its end pointing
+        # at a vertex that is no source: no cycle. Closing the far end back
+        # to the start makes one cycle through every source. The search goes
+        # as deep as the path, past Python's recursion limit.
+        V = 3000
+        order = list(range(V))
+        random.Random(909).shuffle(order)
+        succ = {order[i]: 1 << order[i + 1] for i in range(V - 1)}
+        succ[order[-1]] = 1 << V
+        sources = tuple(sorted(succ))
+        assert not sofic.relation_has_cycle(sources, [succ[v] for v in sources])
+        succ[order[-1]] |= 1 << order[0]
+        assert sofic.relation_has_cycle(sources, [succ[v] for v in sources])
+
+    def test_class_pass_answers_powers_from_their_roots(self, monkeypatch):
+        # u^k has relation R_u^k, which has a cycle exactly when R_u has one:
+        # the class pass reads the answer off u's class and never searches
+        # the relation of a proper power
+        lg = realize_sofic(PeriodSetDescriptor.make((), [(1, 10, ())], certified=True))
+        N = 12
+        searched = set()
+        search = sofic._cycle_search
+
+        def recorded(sources, rows, alive):
+            searched.add((tuple(sources), tuple(rows)))
+            return search(sources, rows, alive)
+
+        monkeypatch.setattr(sofic, "_cycle_search", recorded)
+        p, _witnesses = sofic_period_counts(lg, N)
+        assert p[N - 1] > 0 and searched
+        powers = set()
+        for m in range(1, N // 2 + 1):
+            for u in itertools.product(lg.alphabet, repeat=m):
+                for k in range(2, N // m + 1):
+                    sources, row_ids = sofic.word_relation(lg, u * k)
+                    if sources:
+                        powers.add((sources, lg.relations.row_masks(row_ids)))
+        assert powers
+        assert not searched & powers
 
     def test_lyndon_search_respects_budget(self, full_shift_cover, monkeypatch):
         # the one-vertex full 2-shift has 2 + 1 + 2 + 3 Lyndon words up to

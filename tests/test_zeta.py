@@ -120,6 +120,19 @@ class TestZeta:
             pn = [trace_power(g, n) for n in range(1, 13)]
             assert exp_truncation(pn, 12) == z.series(13)
 
+    def test_work_cap(self):
+        # the 15,050-vertex realization of {n >= 100}: a 100-vertex core on
+        # 15,150 edges, k^3 D^2 = 2.3e14; refused before elimination starts
+        import time
+
+        from periodlab.arith import ResourceLimitExceeded
+
+        g = realize_irreducible_sft(PeriodSetDescriptor.make((), [(1, 100, ())], certified=True))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitExceeded, match="ZETA_WORK_CAP"):
+            zeta_of_graph(g)
+        assert time.perf_counter() - start < 1
+
 
 def dense_zeta(g):
     """1 / det(I - tA) by Bareiss on the full n x n matrix: the reference
