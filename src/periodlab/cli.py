@@ -60,6 +60,9 @@ DEFAULT_ORACLE_CAP = 20
 # largest number a descriptor or gap-set input may hold: the numbers set the
 # cycle lengths, path lengths and torus sides of what is built from them
 INPUT_NUMBER_CAP = 1_000
+# largest labeled-graph presentation whose analysis is cross-checked by the
+# layer decomposition: layer vertices are state subsets
+LAYER_CHECK_MAX_STATES = 8
 
 
 class ParseFailure(Exception):
@@ -279,8 +282,7 @@ def _analyze_labeled(lg: LabeledGraph, N: int, cap: int, report: RunReport):
     report.outputs["lps_support"] = sorted(res.support)
     report.outputs["witnesses"] = res.to_json()
     layer_n = min(N, cap)
-    if lg.graph.n > 8:
-        # layer vertices are state subsets; keep the cross-check desk-scale
+    if lg.graph.n > LAYER_CHECK_MAX_STATES:
         report.oracle_agreement = {
             "layer_union": None,
             "layer_check": "skipped_large_presentation",

@@ -448,6 +448,7 @@ def _floor_root_scaled(value: int, k: int, denom: int = _ROOT_DENOM) -> int:
 _STEP_DENOM = 1 << 8  # coarse denominator for per-step growth factors
 _BOUND_DENOM = 1 << 32  # first denominator tried for a rational step bound
 THRESHOLD_SEARCH_CAP = 500_000  # multiples of d a threshold search may pass
+GROWTH_RETURN_CAP = 8192  # return length a growth certificate may count to
 
 
 @dataclass(frozen=True)
@@ -530,8 +531,11 @@ def growth_certificate(component, d, core, core_edges, base, w0) -> GrowthCertif
             z, Dz = _step_bound(W, 2 * best_j, x)
             return GrowthCertificate(m, d, w0 + K, x, y, best_j, W, z, Dz)
         k_cap *= 2
-        if k_cap > 8192:
-            raise CertificationError("return growth too slow to certify")
+        if k_cap > GROWTH_RETURN_CAP:
+            raise CertificationError(
+                f"return growth too slow to certify below "
+                f"GROWTH_RETURN_CAP = {GROWTH_RETURN_CAP}"
+            )
 
 
 def _least_multiple_where(holds, n0: int, d: int) -> int:

@@ -10,16 +10,19 @@ A periodic point of the presented shift is the bi-infinite repetition of a
 word w; it belongs to the shift iff the transition relation of w has a
 cycle. A relation is a pair of flat tuples (sources, row_ids): the source
 vertices with a nonempty row, ascending, and the ids of their rows (bit y
-of v's row: a w-labeled path v -> y), interned per presentation by its
-:class:`RelationEngine`. Each symbol has a row table that steps a row the
-first time it meets it and keeps the result, so a relation step is one
-table lookup per row; the subset construction steps its subsets through
-the same tables. Words of one length are grouped by relation, so period
-counts, and through Möbius inversion the least-period set, come from one
-pass over the relation classes, which also supplies the witness words. The
-layer analysis walks the Lyndon words of the shift (one per periodic orbit)
-in a single depth-first search and extends each word's relation in a
-higher layer from that of its longest prefix shared with the word before;
+of v's row: a w-labeled path v -> y). Rows and whole relations are interned
+per presentation by its :class:`RelationEngine`, which numbers relations
+(0 the empty relation, 1 the identity) and keeps each one's cycle answer.
+Each symbol has a row table and a relation table that step a row or a
+relation id the first time they meet it and keep the result, so a relation
+met again, at another length or in another pass, is stepped by one table
+lookup; the subset construction steps its subsets through the row tables.
+Words of one length are grouped by relation id, so period counts, and
+through Möbius inversion the least-period set, come from one pass over the
+relation classes, which also supplies the witness words. The layer analysis
+walks the Lyndon words of the shift (one per periodic orbit) in a single
+depth-first search and extends each word's relation id in a higher layer
+from that of its longest prefix shared with the word before;
 a period no class representative carries gets the first Lyndon word of a
 search to that length alone. Two presentations of the same point are
 *mutually separated* when they occupy distinct vertices at every time; the
@@ -39,7 +42,12 @@ from functools import cached_property, reduce
 from itertools import combinations, compress
 from operator import or_
 
-from .arith import ResourceLimitExceeded, least_rotation_period, min_rotation
+from .arith import (
+    ResourceLimitExceeded,
+    divisors,
+    least_rotation_period,
+    min_rotation,
+)
 from .graph_core import DirectedMultigraph, essential_subgraph, scc_decompose
 
 RELATION_CLASS_CAP = 200_000  # relation classes of one word length
@@ -134,16 +142,21 @@ class LabeledGraph:
 # ``sources`` are the vertices v with a nonempty row, ascending, and
 # ``row_ids[k]`` names the row of sources[k]: the int bitmask with bit y set
 # when there is a w-labeled path from sources[k] to y. Rows are interned per
-# presentation by its RelationEngine (id 0 is the empty row, ids 1..n the
-# single vertices), so equal relations are equal tuple pairs and key dicts
-# directly.
+# presentation by its RelationEngine (row id 0 is the empty row, ids 1..n
+# the single vertices), and so are whole relations: relation id 0 is the
+# empty relation, id 1 the identity, and ``engine.relations[rid]`` is the
+# (sources, row_ids) pair of id rid. Equal relations have equal ids, so a
+# pass keys its dicts by small ints.
 #
-# Each symbol a has a row table, row id -> id of the row one a-step on. A
-# missing entry is filled once, by OR-ing a's successor masks over the set
-# bits of the row; the same row meets the same symbol again and again, so a
-# relation step is then one C-level lookup per row, plus dropping the rows
-# that became empty. The bi-infinite repetition of w lies in the shift
-# exactly when the relation, viewed as a digraph, has a cycle.
+# Each symbol a has a row table, row id -> id of the row one a-step on, and
+# a relation table, relation id -> id of the relation one a-step on. A
+# missing entry is filled once: a row by OR-ing a's successor masks over its
+# set bits, a relation by one row-table lookup per row, dropping the rows
+# that became empty. A relation met again, at another length or in another
+# pass, is then stepped by one lookup. ``engine.cycles[rid]`` is the cycle
+# answer of id rid (None until it is asked for): the bi-infinite repetition
+# of w lies in the shift exactly when w's relation, viewed as a digraph,
+# has a cycle.
 
 EMPTY_RELATION = ((), ())
 
@@ -162,6 +175,17 @@ def _intern(rows: list, ids: dict, row: int) -> int:
     if rid is None:
         rid = ids[row] = len(rows)
         rows.append(row)
+    return rid
+
+
+def _intern_relation(relations: list, ids: dict, cycles: list, rel: tuple) -> int:
+    """Id of the relation ``rel``, appended when new with an unknown cycle
+    answer."""
+    rid = ids.get(rel)
+    if rid is None:
+        rid = ids[rel] = len(relations)
+        relations.append(rel)
+        cycles.append(None)
     return rid
 
 
@@ -185,21 +209,50 @@ class _RowTable(dict):
         return out
 
 
+class _RelationTable(dict):
+    """Relation id -> relation id of one symbol's step. A relation met for
+    the first time is stepped through the symbol's row table (``step``, its
+    bound ``__getitem__``), and its image is interned with an unknown cycle
+    answer. Like :class:`_RowTable`, it holds the engine's lists, not the
+    engine."""
+
+    __slots__ = ("step", "relations", "ids", "cycles")
+
+    def __missing__(self, rid: int) -> int:
+        sources, row_ids = self.relations[rid]
+        row_ids = tuple(map(self.step, row_ids))
+        if 0 in row_ids:
+            sources = tuple(compress(sources, row_ids))
+            row_ids = tuple(filter(None, row_ids))
+        out = self[rid] = _intern_relation(
+            self.relations, self.ids, self.cycles, (sources, row_ids)
+        )
+        return out
+
+
 class RelationEngine:
-    """Interned rows and per-symbol row tables of one presentation, with
-    the identity relation and a memo of cycle tests by relation. A caller
-    steps relations with a table's bound ``__getitem__`` (see
-    :func:`relation_step`), taken once per pass."""
+    """Interned rows and relations of one presentation, with per-symbol row
+    and relation tables and the cycle answer of every relation id. A pass
+    steps relation ids with a relation table's bound ``__getitem__``, taken
+    once per pass."""
 
     def __init__(self, step_masks: dict, n: int):
         self.rows = [0] + [1 << v for v in range(n)]  # row id -> mask
         self.ids = {row: rid for rid, row in enumerate(self.rows)}
-        self.tables = {}
+        identity = (tuple(range(n)), tuple(range(1, n + 1)))
+        self.relations = [EMPTY_RELATION, identity]  # relation id -> relation
+        # with no vertex the identity is the empty relation, and keeps id 0
+        self.relation_ids = {identity: 1, EMPTY_RELATION: 0}
+        self.cycles = [False, n > 0]  # relation id -> has a cycle, or None
+        self.tables = {}  # symbol -> row table
+        self.steps = {}  # symbol -> relation table
         for a, succ in step_masks.items():
             table = self.tables[a] = _RowTable()
             table.succ, table.rows, table.ids = succ, self.rows, self.ids
-        self.identity = (tuple(range(n)), tuple(range(1, n + 1)))
-        self.cycles: dict = {}  # relation -> does it have a cycle?
+            step = self.steps[a] = _RelationTable()
+            step.step = table.__getitem__
+            step.relations, step.ids = self.relations, self.relation_ids
+            step.cycles = self.cycles
 
     def intern(self, row: int) -> int:
         return _intern(self.rows, self.ids, row)
@@ -208,22 +261,36 @@ class RelationEngine:
         return tuple(map(self.rows.__getitem__, row_ids))
 
     def has_cycle(self, rel: tuple) -> bool:
-        cyc = self.cycles.get(rel)
+        """Cycle answer of the relation ``rel`` = (sources, row_ids), read
+        off its id."""
+        return self._cycle(
+            _intern_relation(self.relations, self.relation_ids, self.cycles, rel)
+        )
+
+    def _cycle(self, rid: int) -> bool:
+        """Cycle answer of relation id ``rid``, decided on first asking."""
+        cyc = self.cycles[rid]
         if cyc is None:
-            cyc = self.cycles[rel] = relation_has_cycle(
-                rel[0], self.row_masks(rel[1])
-            )
+            sources, row_ids = self.relations[rid]
+            rows = tuple(map(self.rows.__getitem__, row_ids))
+            alive = _sources_reached(sources, rows)
+            cyc = self.cycles[rid] = bool(alive) and _cycle_search(sources, rows, alive)
         return cyc
 
-
-def relation_step(rel: tuple, step) -> tuple:
-    """Relation of w·a from that of w; ``step`` is the bound ``__getitem__``
-    of a's row table."""
-    sources, row_ids = rel
-    ids = tuple(map(step, row_ids))
-    if 0 in ids:
-        return tuple(compress(sources, ids)), tuple(filter(None, ids))
-    return sources, ids
+    def _word_id(self, w) -> int:
+        """Id of the relation of w: one table lookup per symbol from the
+        identity, and the empty relation for a symbol the presentation does
+        not carry."""
+        steps = self.steps
+        rid = 1
+        for a in w:
+            table = steps.get(a)
+            if table is None:
+                return 0
+            rid = table[rid]
+            if not rid:
+                break
+        return rid
 
 
 def relation_has_cycle(sources, rows) -> bool:
@@ -273,27 +340,21 @@ def _cycle_search(sources, rows, alive: int) -> bool:
 
 
 def word_relation(lg: LabeledGraph, w) -> tuple:
+    """(sources, row_ids) of the transition relation of w."""
     engine = lg.relations
-    rel = engine.identity
-    for a in w:
-        table = engine.tables.get(a)
-        if table is None:
-            return EMPTY_RELATION
-        rel = relation_step(rel, table.__getitem__)
-        if not rel[0]:
-            break
-    return rel
+    return engine.relations[engine._word_id(w)]
 
 
 def periodic_point_in_shift(lg: LabeledGraph, w) -> bool:
     """Is the bi-infinite repetition of w a point of the presented shift?"""
-    return lg.relations.has_cycle(word_relation(lg, as_word(w)))
+    engine = lg.relations
+    return engine._cycle(engine._word_id(as_word(w)))
 
 
 def _lyndon_words_in_shift(lg: LabeledGraph, N: int):
     """Every Lyndon word w of length <= N whose bi-infinite repetition lies
     in the shift, in lexicographic order over the sorted alphabet; yields
-    (w, relation of w).
+    (w, relation id of w).
 
     A Lyndon word is primitive and strictly smaller than its other
     rotations, so these are exactly the least-rotation representatives of
@@ -307,38 +368,31 @@ def _lyndon_words_in_shift(lg: LabeledGraph, N: int):
         return
     engine = lg.relations
     alphabet = lg.alphabet
-    steps = [engine.tables[a].__getitem__ for a in alphabet]
+    steps = [engine.steps[a].__getitem__ for a in alphabet]
     cycles = engine.cycles
     spent = 0
-    # (word as symbol indices, longest Lyndon prefix length, relation)
-    stack = [((), 1, engine.identity)]
+    # (word as symbol indices, longest Lyndon prefix length, relation id)
+    stack = [((), 1, 1)]
     while stack:
-        w, p, rel = stack.pop()
+        w, p, rid = stack.pop()
         t = len(w)
         if t and p == t:
-            cyc = cycles.get(rel)  # engine.has_cycle's memo, read directly
+            cyc = cycles[rid]
             if cyc is None:
-                cyc = engine.has_cycle(rel)
+                cyc = engine._cycle(rid)
             if cyc:
-                yield tuple(map(alphabet.__getitem__, w)), rel
+                yield tuple(map(alphabet.__getitem__, w)), rid
         if t == N:
             continue
         low = w[t - p] if t else 0
-        sources, row_ids = rel
         children = []
         for i in range(low, len(alphabet)):
             spent += 1
             if spent > WORD_BUDGET:
                 raise ResourceLimitExceeded("periodic word sweep budget exceeded")
-            # relation_step, inlined as in sofic_period_counts
-            ids = tuple(map(steps[i], row_ids))
-            if 0 in ids:
-                nxt = tuple(compress(sources, ids)), tuple(filter(None, ids))
-                if not nxt[0]:
-                    continue
-            else:
-                nxt = sources, ids
-            children.append((w + (i,), p if i == low else t + 1, nxt))
+            nxt = steps[i](rid)
+            if nxt:
+                children.append((w + (i,), p if i == low else t + 1, nxt))
         stack.extend(reversed(children))
 
 
@@ -356,54 +410,53 @@ def sofic_period_counts(lg: LabeledGraph, N: int):
     if lg.graph.n == 0:
         return p, witnesses
     engine = lg.relations
-    steps = [(a, engine.tables[a].__getitem__) for a in lg.alphabet]
-    cycles = engine.cycles
-    level = {engine.identity: [1, ()]}
+    steps = [(a, engine.steps[a].__getitem__) for a in lg.alphabet]
+    relations, cycles, row_of = engine.relations, engine.cycles, engine.rows.__getitem__
+    level = {1: [1, ()]}  # relation id -> [word count, representative word]
     for n in range(1, N + 1):
         nxt: dict = {}
-        for rel, (cnt, rep) in level.items():
-            sources, row_ids = rel
+        for rid, (cnt, rep) in level.items():
             for a, step in steps:
-                # relation_step, inlined: on a small presentation the call
-                # would cost more than the step
-                ids = tuple(map(step, row_ids))
-                if 0 in ids:
-                    r2 = tuple(compress(sources, ids)), tuple(filter(None, ids))
-                    if not r2[0]:
-                        continue
-                else:
-                    r2 = sources, ids
-                slot = nxt.get(r2)
-                if slot is None:
-                    nxt[r2] = [cnt, rep + (a,)]
-                else:
-                    slot[0] += cnt
+                r2 = step(rid)
+                if r2:
+                    slot = nxt.get(r2)
+                    if slot is None:
+                        nxt[r2] = [cnt, rep + (a,)]
+                    else:
+                        slot[0] += cnt
         level = nxt
         if len(level) > RELATION_CLASS_CAP:
             raise ResourceLimitExceeded("relation-class cap exceeded")
         total = 0
-        for rel, (cnt, rep) in level.items():
-            cyc = cycles.get(rel)  # engine.has_cycle's memo, written directly
+        # a length-n word's least rotation period divides n: once every
+        # divisor has a witness, no class of this length adds one
+        unwitnessed = set(divisors(n)).difference(witnesses)
+        for rid, (cnt, rep) in level.items():
+            cyc = cycles[rid]  # engine._cycle's answer, written directly
             rho = 0
             if cyc is None:
-                rows = engine.row_masks(rel[1])
-                alive = _sources_reached(rel[0], rows)
+                sources, row_ids = relations[rid]
+                rows = tuple(map(row_of, row_ids))
+                alive = _sources_reached(sources, rows)
                 cyc = False
                 if alive:
                     # rep = u^(n/ρ) has relation R_u^(n/ρ), and a digraph's
                     # power has a cycle exactly when the digraph has one: u's
-                    # class was decided at level ρ
+                    # class was decided at level ρ, and each prefix of rep
+                    # names a class, so its id is |u| table lookups away
                     rho = least_rotation_period(rep)
                     if rho < n:
-                        cyc = cycles[word_relation(lg, rep[:rho])]
+                        cyc = cycles[engine._word_id(rep[:rho])]
                     else:
-                        cyc = _cycle_search(rel[0], rows, alive)
-                cycles[rel] = cyc
+                        cyc = _cycle_search(sources, rows, alive)
+                cycles[rid] = cyc
             if cyc:
                 total += cnt
-                rho = rho or least_rotation_period(rep)
-                if rho not in witnesses:
-                    witnesses[rho] = word_str(min_rotation(rep[:rho]))
+                if unwitnessed:
+                    rho = rho or least_rotation_period(rep)
+                    if rho in unwitnessed:
+                        unwitnessed.remove(rho)
+                        witnesses[rho] = word_str(min_rotation(rep[:rho]))
         p[n - 1] = total
     return p, witnesses
 
@@ -449,7 +502,7 @@ def sofic_lps_upto(lg: LabeledGraph, N: int) -> SoficLpsResult:
         # could pass a subtree exponential in that length before reaching
         # the first Lyndon word of a short one
         found[n] = next(
-            word_str(w) for w, _rel in _lyndon_words_in_shift(lg, n) if len(w) == n
+            word_str(w) for w, _rid in _lyndon_words_in_shift(lg, n) if len(w) == n
         )
     return SoficLpsResult(
         N, tuple((n, found[n]) for n in sorted(support))
@@ -894,32 +947,33 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
         raise ResourceLimitExceeded(
             f"layer analysis needs <= {LAYER_MAX_STATES} states, got {nv}"
         )
-    layers: dict = {}  # i -> (_PrefixRelations, components) of layer i
+    layers: dict = {}  # i -> (prefix relations, components, id -> cycle components)
 
     def layer(i):
         if i not in layers:
-            layers[i] = _layer_relations(lg if i == 1 else layer_graph(lg, i).lg)
+            base = lg if i == 1 else layer_graph(lg, i).lg
+            layers[i] = _layer_relations(base) + ({},)
         return layers[i]
 
     supports: dict = {}
     witnesses = []
-    for w, rel1 in _lyndon_words_in_shift(lg, N):
+    for w, rid1 in _lyndon_words_in_shift(lg, N):
         n = len(w)
         sep = 1
-        rel_at_sep = rel1
+        rid_at_sep = rid1
         for i in range(2, nv + 1):
             prefixes = layer(i)[0]
-            rel = prefixes.relation(w)
-            if not prefixes.engine.has_cycle(rel):
+            rid = prefixes.relation(w)
+            if not prefixes.engine._cycle(rid):
                 break
             sep = i
-            rel_at_sep = rel
-        prefixes, comps = layer(sep)
-        if len(comps) == 1:  # rel_at_sep has a cycle, so it lies in this one
-            found = {comps[0][0]}
-        else:
-            found = _cycle_components(
-                rel_at_sep[0], prefixes.engine.row_masks(rel_at_sep[1]), comps
+            rid_at_sep = rid
+        prefixes, comps, found_of = layer(sep)
+        found = found_of.get(rid_at_sep)
+        if found is None:
+            sources, row_ids = prefixes.engine.relations[rid_at_sep]
+            found = found_of[rid_at_sep] = _cycle_components(
+                sources, prefixes.engine.row_masks(row_ids), comps
             )
         for j in found:
             supports.setdefault((sep, j), set()).add(n)
@@ -932,32 +986,32 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
 
 
 class _PrefixRelations:
-    """Relations of the prefixes of the last word asked for, in one
+    """Relation ids of the prefixes of the last word asked for, in one
     presentation; the next word starts from the longest prefix the two
     share. The layer analysis asks for Lyndon words in lexicographic order,
     so consecutive words share most of their prefixes."""
 
     def __init__(self, engine: RelationEngine):
         self.engine = engine
-        self.steps = {a: table.__getitem__ for a, table in engine.tables.items()}
+        self.steps = {a: table.__getitem__ for a, table in engine.steps.items()}
         self.word: tuple = ()
-        self.rels = [engine.identity]  # rels[k]: relation of word[:k]
+        self.ids = [1]  # ids[k]: relation id of word[:k]
 
-    def relation(self, w: tuple) -> tuple:
+    def relation(self, w: tuple) -> int:
         k = 0
         for a, b in zip(self.word, w):
             if a != b:
                 break
             k += 1
-        del self.rels[k + 1:]
-        rel = self.rels[k]
+        del self.ids[k + 1:]
+        rid = self.ids[k]
         steps = self.steps
         for a in w[k:]:
             step = steps.get(a)
-            rel = EMPTY_RELATION if step is None else relation_step(rel, step)
-            self.rels.append(rel)
+            rid = 0 if step is None else step(rid)
+            self.ids.append(rid)
         self.word = w
-        return rel
+        return rid
 
 
 def _layer_relations(base: LabeledGraph) -> tuple:

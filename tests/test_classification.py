@@ -147,6 +147,25 @@ class TestKrieger:
         assert v.kind == "pass_at_desk_scale"
         assert v.detail["certified_all_n"] is True
 
+    def test_one_walk_dp_per_graph(self, golden_mean, monkeypatch):
+        # the tables to N and on to the crossover are one walk DP per graph
+        from periodlab import sft_counting
+
+        calls = []
+        count = sft_counting.closed_walk_counts
+
+        def recorded(g, N):
+            calls.append((g, N))
+            return count(g, N)
+
+        monkeypatch.setattr(sft_counting, "closed_walk_counts", recorded)
+        x = cycle_graph(2)
+        v = krieger_check(x, golden_mean, 10)
+        assert v.detail["certified_all_n"] is True
+        crossover = v.detail["certified_from"]
+        assert crossover > 10
+        assert calls == [(x, crossover), (golden_mean, crossover)]
+
     def test_full_shift_fails_entropy(self, golden_mean, full_two_shift):
         v = krieger_check(full_two_shift, golden_mean, 10)
         assert v.kind == "entropy_fail"

@@ -12,6 +12,7 @@ from periodlab.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_SHAPE,
+    LAYER_CHECK_MAX_STATES,
     _json_text,
     detect_kind,
     main,
@@ -92,6 +93,31 @@ class TestAnalyze:
         code, report = run(capsys, ["analyze", "--input", path, "--horizon", "6"])
         assert code == EXIT_OK
         assert report["outputs"]["lps_support"] == [1, 3, 4, 5, 6]
+
+    def test_layer_check_cap(self, tmp_path, capsys):
+        # a ring of k states with one "1" edge and a "0" loop: the layer
+        # cross-check runs on 8 states and is skipped on 9
+        assert LAYER_CHECK_MAX_STATES == 8
+        for k in (8, 9):
+            ring = {
+                "vertices": [f"s{i}" for i in range(k)],
+                "edges": [
+                    {"id": f"r{i}", "from": f"s{i}", "to": f"s{(i + 1) % k}",
+                     "label": "1" if i == 0 else "0"}
+                    for i in range(k)
+                ] + [{"id": "loop", "from": "s0", "to": "s0", "label": "0"}],
+            }
+            path = write(tmp_path, f"ring{k}.json", ring)
+            code, report = run(capsys, ["analyze", "--input", path, "--horizon", "10"])
+            assert code == EXIT_OK
+            agreement = report["oracle_agreement"]
+            if k == 8:
+                assert agreement["layer_union"] is True
+                assert "layer_check" not in agreement and report["outputs"]["layers"]
+            else:
+                assert agreement["layer_union"] is None
+                assert agreement["layer_check"] == "skipped_large_presentation"
+                assert "layers" not in report["outputs"]
 
     def test_gap_set(self, tmp_path, capsys):
         path = write(tmp_path, "gap.json", {"finite": [1], "progressions": []})

@@ -527,6 +527,22 @@ class TestThresholdSearch:
             with pytest.raises(sc.CertificationError, match="THRESHOLD_SEARCH_CAP"):
                 sc.solve_q_positive_threshold(cert)
 
+    def test_growth_return_cap(self, monkeypatch):
+        # loops of 40 and 41 steps through one vertex: growth about 2^(1/40)
+        # per step, which the returns up to 96, 192 and 384 do not certify
+        # and those up to 768 do
+        vertices, edges = ["o"], []
+        for name, length in (("a", 40), ("b", 41)):
+            path = ["o"] + [f"{name}{i}" for i in range(1, length)] + ["o"]
+            vertices += path[1:-1]
+            edges += [(path[i], path[i + 1], f"{name}.e{i}") for i in range(length)]
+        (cert,) = _certificates(build_graph(vertices, edges))
+        monkeypatch.setattr(sc, "GROWTH_RETURN_CAP", 768)
+        assert _certificates(build_graph(vertices, edges)) == [cert]
+        monkeypatch.setattr(sc, "GROWTH_RETURN_CAP", 767)
+        with pytest.raises(sc.CertificationError, match="GROWTH_RETURN_CAP = 767"):
+            _certificates(build_graph(vertices, edges))
+
     def test_realization_with_slow_certified_growth(self):
         # 497 vertices; the certified step growth 261/256 barely exceeds the
         # walk bound, so the growth certificate's n* = 10380 sits far above

@@ -199,9 +199,49 @@ class TestRelationEngine:
                 ):
                     lyndon.append(w)
             found = list(sofic._lyndon_words_in_shift(lg, N))
-            assert [w for (w, _rel) in found] == lyndon, lg.to_json()
-            for w, rel in found:
-                assert rel == sofic.word_relation(lg, w)
+            assert [w for (w, _rid) in found] == lyndon, lg.to_json()
+            for w, rid in found:
+                assert lg.relations.relations[rid] == sofic.word_relation(lg, w)
+
+    def test_relation_ids_against_matrix_products(self):
+        # one id per relation: two words share an id exactly when their
+        # label-matrix products are equal, the id's relation is the word's,
+        # its cycle answer is the product's, and stepping the id of w's
+        # prefix by w's last symbol reaches the same id
+        for lg, N, products, nonnil in engine_cases():
+            engine = lg.relations
+            id_of_product = {}
+            for w, M in sorted(products.items()):
+                rid = engine._word_id(w)
+                assert engine.relations[rid] == sofic.word_relation(lg, w)
+                assert engine._cycle(rid) == nonnil[w], (lg.to_json(), w)
+                assert engine.steps[w[-1]][engine._word_id(w[:-1])] == rid
+                key = tuple(map(tuple, M))
+                assert id_of_product.setdefault(key, rid) == rid, (lg.to_json(), w)
+                assert (rid == 0) == (not any(map(any, M)))
+            assert len(set(id_of_product.values())) == len(id_of_product)
+            assert engine._word_id(()) == 1
+            assert engine.relations[1] == (
+                tuple(range(lg.graph.n)), tuple(range(1, lg.graph.n + 1))
+            )
+            assert engine.relations[0] == sofic.EMPTY_RELATION
+            assert len(engine.cycles) == len(engine.relations)
+
+    def test_class_pass_steps_each_relation_once(self, monkeypatch):
+        # relations recur across lengths: the class pass steps each
+        # (relation id, symbol) pair at most once and looks the rest up
+        stepped = []
+        step = sofic._RelationTable.__missing__
+
+        def recorded(table, rid):
+            stepped.append((id(table), rid))
+            return step(table, rid)
+
+        monkeypatch.setattr(sofic._RelationTable, "__missing__", recorded)
+        lg = realize_sofic(PeriodSetDescriptor.make((), [(1, 1, ())], certified=True))
+        p, _witnesses = sofic_period_counts(lg, 16)
+        assert p[15] > 0
+        assert stepped and len(stepped) == len(set(stepped))
 
     def test_period_counts_against_matrix_products(self):
         # p_n is the number of length-n words whose product is not nilpotent
@@ -231,7 +271,9 @@ class TestRelationEngine:
             prefixes = sofic._PrefixRelations(lg.relations)
             for _ in range(60):
                 w = tuple(rng.choice("0123") for _ in range(rng.randint(0, 7)))
-                assert prefixes.relation(w) == sofic.word_relation(lg, w), (lg.to_json(), w)
+                rid = prefixes.relation(w)
+                assert rid == lg.relations._word_id(w), (lg.to_json(), w)
+                assert lg.relations.relations[rid] == sofic.word_relation(lg, w)
 
     def test_cycle_components_against_transitive_closure(self):
         rng = random.Random(606)
@@ -324,7 +366,7 @@ class TestRelationEngine:
     def test_lyndon_search_respects_budget(self, full_shift_cover, monkeypatch):
         # the one-vertex full 2-shift has 2 + 1 + 2 + 3 Lyndon words up to
         # length 4, reached through 2 + 3 + 5 + 8 relation steps
-        words = ["".join(w) for (w, _rel) in sofic._lyndon_words_in_shift(full_shift_cover, 4)]
+        words = ["".join(w) for (w, _rid) in sofic._lyndon_words_in_shift(full_shift_cover, 4)]
         assert words == ["0", "0001", "001", "0011", "01", "011", "0111", "1"]
         monkeypatch.setattr(sofic, "WORD_BUDGET", 18)
         assert len(list(sofic._lyndon_words_in_shift(full_shift_cover, 4))) == 8
