@@ -7,7 +7,10 @@ are out of scope at the type level. Least-period sets are computed through
 the almost sum-closure of S + 1, with a certified cofinite tail, and every
 admissible least-period set is realized by an explicit gap set, built from
 the d * (F | {N, N+1, ...}) form that
-:meth:`PeriodSetDescriptor.sft_shape` reads off the set.
+:meth:`PeriodSetDescriptor.sft_shape` reads off the set. Each gap shift is
+presented by a chain that counts the zeros since the last 1, c + sum of r
+states (:func:`gap_to_labeled_graph`); ``realize_sofic`` returns that chain
+for every set :func:`gap_realize` accepts.
 """
 
 from __future__ import annotations
@@ -366,14 +369,36 @@ def _closure_witness(desc: PeriodSetDescriptor):
 # -- labeled-graph presentation --------------------------------------------------
 
 
+def _chain_length(s: GapSet) -> int:
+    """c: the shared 0-path holds the zero counts 0..c-1, which covers every
+    finite gap and reaches every progression start."""
+    return max([1] + [m + 1 for m in s.finite] + [a for a, _ in s.progressions])
+
+
+def gap_chain_size(s: GapSet) -> int:
+    """Vertex count of :func:`gap_to_labeled_graph`'s chain, c + sum of r,
+    known before it is built."""
+    return _chain_length(s) + sum(r for _, r in s.progressions)
+
+
 def gap_to_labeled_graph(s: GapSet) -> LabeledGraph:
-    """Standard presentation of the S-gap shift: a root vertex, a 0-labeled
-    path of length m returning by a 1-labeled edge for each finite gap m,
-    and for each progression a 0-path into a shared 0-cycle realizing the
-    period, with a 1-labeled return."""
+    """Chain presentation of the S-gap shift, c + sum of r vertices.
+
+    States z0..z(c-1) form a shared 0-path, zj counting the zeros read since
+    the last 1. Each progression (a, r) gets its own 0-cycle of r states,
+    entered from z(c-1); its i-th state holds the counts c + i + kr. A
+    1-edge returns to z0 from every state whose counts lie in S: zj when j is
+    a gap, a cycle state when its counts lie in its own progression. Every
+    state lies on a cycle through z0, and with at most one progression (all
+    :func:`gap_realize` outputs) the chain is right-resolving. One cycle per
+    progression keeps the size linear in the differences, where a single
+    cycle would need their lcm.
+    """
     if s.is_empty:
         raise ValueError("gap set must be nonempty")
-    vertices = ["root"]
+    c = _chain_length(s)
+    path = [f"z{j}" for j in range(c)]
+    vertices = list(path)
     edges = []
     labels = {}
 
@@ -381,29 +406,18 @@ def gap_to_labeled_graph(s: GapSet) -> LabeledGraph:
         edges.append((src, dst, eid))
         labels[eid] = lab
 
-    for m in sorted(s.finite):
-        prev = "root"
-        for j in range(1, m + 1):
-            v = f"f{m}.{j}"
-            vertices.append(v)
-            add_edge(prev, v, f"f{m}.z{j}", "0")
-            prev = v
-        add_edge(prev, "root", f"f{m}.one", "1")
+    for j in range(c):
+        if j + 1 < c:
+            add_edge(path[j], path[j + 1], f"z{j}.0", "0")
+        if s.contains(j):
+            add_edge(path[j], path[0], f"z{j}.1", "1")
     for a, r in s.progressions:
-        prev = "root"
-        for j in range(1, a + 1):
-            v = f"p{a}.{r}.{j}"
-            vertices.append(v)
-            add_edge(prev, v, f"p{a}.{r}.z{j}", "0")
-            prev = v
-        entry = prev
-        loop_prev = entry
-        for j in range(1, r):
-            v = f"p{a}.{r}.c{j}"
-            vertices.append(v)
-            add_edge(loop_prev, v, f"p{a}.{r}.cz{j}", "0")
-            loop_prev = v
-        add_edge(loop_prev, entry, f"p{a}.{r}.cz{r}", "0")
-        add_edge(entry, "root", f"p{a}.{r}.one", "1")
+        cycle = [f"p{a}.{r}.{i}" for i in range(r)]
+        vertices += cycle
+        add_edge(path[-1], cycle[0], f"p{a}.{r}.in", "0")
+        for i in range(r):
+            add_edge(cycle[i], cycle[(i + 1) % r], f"p{a}.{r}.{i}.0", "0")
+            if (c + i - a) % r == 0:
+                add_edge(cycle[i], path[0], f"p{a}.{r}.{i}.1", "1")
     g = DirectedMultigraph.build(vertices, edges)
     return LabeledGraph.build(g, labels)

@@ -3,12 +3,14 @@
 Four builders: an irreducible SFT for a singleton or a scaled cofinite set
 (cycle with attached cycles, then edge subdivision); a reducible SFT for
 general descriptors (disjoint union of the irreducible pieces); an
-irreducible binary sofic shift for anything with a cofinite part (torus
-sections for the scaled tails, cycle sections for finitely many leftovers,
-glued at a root); and, for arbitrary subsets of the naturals, a subshift
-handle generating the defining orbit family (the object is generally not
-sofic, so no finite presentation exists and the handle exposes exactly the
-computable surface: generator words, periodic points, word membership).
+irreducible binary sofic shift for a singleton or anything with a cofinite
+part (the gap shift's chain presentation when the set, less 1, is almost
+sum-closed; otherwise torus sections for the scaled tails and cycle sections
+for finitely many leftovers, glued at a root); and, for arbitrary subsets of
+the naturals, a subshift handle generating the defining orbit family (the
+object is generally not sofic, so no finite presentation exists and the
+handle exposes exactly the computable surface: generator words, periodic
+points, word membership).
 
 :func:`check_target_shape` is the one admissibility test; every construction
 rejects through it. The irreducible-SFT shape, a singleton {d} or
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import ResourceLimitExceeded, lcm, least_rotation_period
+from .gapshift import GapShapeError, gap_chain_size, gap_realize, gap_to_labeled_graph
 from .graph_core import DirectedMultigraph, disjoint_union, subdivide_edges
 from .sft_counting import PeriodSetDescriptor
 from .sofic import LabeledGraph
@@ -238,21 +241,33 @@ def _torus_least_periods(lu: int, lv: int, limit: int) -> set:
 def realize_sofic(desc: PeriodSetDescriptor) -> LabeledGraph:
     """Irreducible sofic shift over {0, 1} whose least-period set is ``desc``.
 
+    A set :func:`gap_realize` accepts (a singleton, or an almost sum-closed
+    set with or without 1) gets its gap shift's chain presentation,
+    :func:`gap_to_labeled_graph`, of c + sum of r vertices. Every other set
+    gets the torus construction, :func:`_torus_realization`. Raises
+    :class:`ResourceLimitExceeded` before building anything when the result
+    would have more than ``REALIZE_VERTEX_CAP`` vertices.
+    """
+    check_target_shape(desc, "irreducible_sofic")
+    try:
+        s = gap_realize(desc)
+    except GapShapeError:
+        return _torus_realization(desc)
+    _check_realize_size(gap_chain_size(s))
+    return gap_to_labeled_graph(s)
+
+
+def _torus_realization(desc: PeriodSetDescriptor) -> LabeledGraph:
+    """Torus presentation of a set with a cofinite part.
+
     Scaled tails d*(N + k) are carried by torus sections over the words
     u_i = 1^(2i) 0^(d_i (k_i+1) - 2i) and v_i = 1^(2i+1) 0^(d_i (k_i+2) - 2i - 1);
     the finitely many set members no torus covers get cycle sections labeled
-    by repeated 1 0^(j-1); all section roots are identified. Raises
+    by repeated 1 0^(j-1); all section roots are identified. The size grows
+    like the fourth power of the tail start. Raises
     :class:`ResourceLimitExceeded` before building any section when the
     result would have more than ``REALIZE_VERTEX_CAP`` vertices.
     """
-    check_target_shape(desc, "irreducible_sofic")
-    if desc.is_finite:
-        d = min(desc.finite_part)
-        _check_realize_size(d)
-        vertices, edges, labels, _root = _cycle_section(d, 1)
-        return LabeledGraph.build(
-            DirectedMultigraph.build(vertices, edges), labels
-        )
     pool = set(desc.finite_part)
     comps = []  # (d_i, k_i) with tail {d(k+1), d(k+2), ...}
     for idx, c in enumerate(sorted(desc.components, key=lambda c: (c.scale, c.threshold)), start=1):

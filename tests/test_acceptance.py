@@ -31,6 +31,7 @@ from periodlab.graph_core import (
     scc_decompose,
 )
 from periodlab.realize import (
+    _torus_realization,
     realize_arbitrary,
     realize_irreducible_sft,
     realize_reducible_sft,
@@ -295,13 +296,17 @@ def test_criterion_7_realization_round_trips():
         finite = set(rng.sample(range(1, 8), rng.randint(0, 2)))
         desc = PeriodSetDescriptor.make(finite, comps, certified=True)
         requests.append(desc)
+    # each through realize_sofic (a gap chain where gap_realize accepts the
+    # set) and through the torus construction
     for desc in requests:
-        lg = realize_sofic(desc)
-        got = sofic_lps_upto(lg, 40).support
-        assert got == frozenset(desc.members_upto(40)), desc.to_json()
+        for lg in (realize_sofic(desc), _torus_realization(desc)):
+            got = sofic_lps_upto(lg, 40).support
+            assert got == frozenset(desc.members_upto(40)), desc.to_json()
+    # the worked set is almost sum-closed, so realize_sofic gives it a gap
+    # chain; in the torus construction 10 needs a cycle section
     worked = requests[0]
-    lg = realize_sofic(worked)
-    assert any(v.startswith("C10.") for v in lg.graph.vertices)  # 10 needs a cycle section
+    lg = _torus_realization(worked)
+    assert any(v.startswith("C10.") for v in lg.graph.vertices)
     # arbitrary realizations reproduce S on [1, 15]
     cases = [
         (lambda n: n % 2 == 1, True, "odds"),

@@ -125,6 +125,16 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert report["outputs"]["lps_descriptor"]["finite"] == [2]
 
+    def test_gap_set_with_two_long_progressions(self, tmp_path, capsys):
+        # one 0-cycle per progression: 1 + 997 + 991 states, where a single
+        # cycle would need lcm(997, 991) = 988,027
+        payload = {"finite": [], "progressions": [{"a": 0, "r": 997}, {"a": 0, "r": 991}]}
+        path = write(tmp_path, "gap.json", payload)
+        code, report = run(capsys, ["analyze", "--input", path])
+        assert code == EXIT_OK
+        assert report["oracle_agreement"]["presentation_lps"] is True
+        assert len(report["outputs"]["presentation"]["vertices"]) == 1 + 997 + 991
+
     def test_forbidden_words(self, tmp_path, capsys):
         path = write(
             tmp_path, "fw.json", {"alphabet": ["0", "1"], "forbidden": [["1", "1"]]}
@@ -405,30 +415,54 @@ class TestRealize:
             assert f"input number {number} exceeds INPUT_NUMBER_CAP" in out["detail"]
 
     def test_realize_vertex_cap(self, tmp_path, capsys):
-        # {n >= 100} would take 35,012,249 vertices; both sofic targets
-        # refuse it before building a section
-        payload = {
-            "finite": [],
-            "components": [{"d": 1, "threshold": 100, "extras": []}],
-            "certified": True,
-        }
-        path = write(tmp_path, "tail100.json", payload)
-        for target in ("irreducible_sofic", "period_set_variant"):
+        # sets that miss a sum of two members need the torus, and both
+        # sofic targets refuse one before building a section:
+        # {3} | 2 * {n >= 14} (no 3 + 28) would take 35,513 vertices and
+        # 3 * {n >= 1} | 2 * {n >= 14}, closed under multiples (no 3 + 28),
+        # 33,030
+        tail = {"d": 2, "threshold": 14}
+        cases = (
+            ("irreducible_sofic", [3], [tail], 35513),
+            ("period_set_variant", [], [{"d": 3, "threshold": 1}, tail], 33030),
+        )
+        for target, finite, components, size in cases:
+            path = write(tmp_path, "torus14.json", {"finite": finite, "components": components})
             code, out = run(capsys, ["realize", "--input", path, "--target", target])
             assert code == EXIT_RESOURCE
             assert out["error"] == "resource_limit"
-            assert "35012249 vertices" in out["detail"]
+            assert f"{size} vertices" in out["detail"]
             assert "REALIZE_VERTEX_CAP = 30000" in out["detail"]
 
+    def test_realize_gap_chain_vertex_cap(self, tmp_path, capsys):
+        # 1000 * {n >= 1000} is almost sum-closed; its gap chain would take
+        # the 2,000,000 zero counts below the doubling block's last gap
+        path = write(tmp_path, "d1000.json", {"components": [{"d": 1000, "threshold": 1000}]})
+        code, out = run(capsys, ["realize", "--input", path, "--target", "irreducible_sofic"])
+        assert code == EXIT_RESOURCE
+        assert out["error"] == "resource_limit"
+        assert "2000000 vertices" in out["detail"]
+        assert "REALIZE_VERTEX_CAP = 30000" in out["detail"]
+
+    def test_realize_tail100_gap_chain(self, tmp_path, capsys):
+        # {n >= 100} is the gap shift of {99, ..., 199}: a 200-state chain,
+        # counted back to a horizon past its first 1-edges
+        path = write(tmp_path, "tail100.json", {"components": [{"d": 1, "threshold": 100}]})
+        argv = ["realize", "--input", path, "--target", "irreducible_sofic", "--horizon", "120"]
+        code, report = run(capsys, argv)
+        assert code == EXIT_OK and report["outputs"]["round_trip"] is True
+        assert len(report["outputs"]["artifact"]["vertices"]) == 200
+
     def test_sofic_round_trip_below_the_cap(self, tmp_path, capsys):
-        # {n >= 16} takes 29,063 vertices; its least periods are counted
-        # back up to the horizon, and the artifact file holds the same graph
-        path = write(tmp_path, "tail16.json", {"components": [{"d": 1, "threshold": 16}]})
+        # {3} | 2 * {n >= 13} takes a 27,031-vertex torus; its least periods
+        # are counted back up to the horizon, and the artifact file holds
+        # the same graph
+        payload = {"finite": [3], "components": [{"d": 2, "threshold": 13}]}
+        path = write(tmp_path, "torus13.json", payload)
         artifact = tmp_path / "artifact.json"
         argv = ["realize", "--input", path, "--target", "irreducible_sofic", "--horizon", "12"]
         code, report = run(capsys, argv + ["--output", str(artifact)])
         assert code == EXIT_OK and report["outputs"]["round_trip"] is True
-        assert len(report["outputs"]["artifact"]["vertices"]) == 29063
+        assert len(report["outputs"]["artifact"]["vertices"]) == 27031
         assert json.loads(artifact.read_text()) == report["outputs"]["artifact"]
 
     def test_coprime_scales_read_off_the_form(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from periodlab.gapshift import (
     GapShapeError,
     almost_sum_closure,
     classify_gap,
+    gap_chain_size,
     gap_lps,
     gap_realize,
     gap_to_labeled_graph,
@@ -206,6 +207,7 @@ class TestGapRealize:
         for q in descriptors:
             s = gap_realize(q)
             assert descriptor_equal(gap_lps(s), q), q.to_json()
+            assert len(s.progressions) <= 1  # so its chain is right-resolving
 
 
 class TestGapPresentation:
@@ -221,6 +223,28 @@ class TestGapPresentation:
             sofic_lps_upto(lg, 12).support
             == sofic_lps_upto(even_shift, 12).support
         )
+
+    def test_chain_against_gap_lps(self):
+        # the chain's least periods up to 16 are gap_lps's; it has
+        # c + sum(r) states, and with at most one progression no state
+        # reads a symbol along two edges
+        rng = random.Random(11)
+        for _ in range(300):
+            finite = rng.sample(range(0, 10), rng.randint(0, 3))
+            progressions = [
+                (rng.randint(0, 6), rng.randint(1, 4))
+                for _ in range(rng.randint(0 if finite else 1, 2))
+            ]
+            s = GapSet.make(finite, progressions)
+            lg = gap_to_labeled_graph(s)
+            c = max([1] + [m + 1 for m in s.finite] + [a for a, _ in s.progressions])
+            size = c + sum(r for _, r in s.progressions)
+            assert lg.graph.n == gap_chain_size(s) == size
+            got = sofic_lps_upto(lg, 16).support
+            assert got == frozenset(gap_lps(s).members_upto(16)), s.to_json()
+            if len(s.progressions) <= 1:
+                reads = [(src, lg.label_map[e]) for (src, _dst, e) in lg.graph.edges]
+                assert len(reads) == len(set(reads)), s.to_json()
 
     def test_zero_one_golden_equivalent(self, golden_cover):
         lg = gap_to_labeled_graph(GapSet.make({0, 1}, ()))

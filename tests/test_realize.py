@@ -4,11 +4,13 @@ import pytest
 
 from periodlab.arith import ResourceLimitExceeded, least_rotation_period
 from periodlab.classification import descriptor_equal
+from periodlab.gapshift import GapShapeError, gap_realize, gap_to_labeled_graph
 from periodlab.graph_core import enumerate_closed_paths, scc_decompose
 from periodlab.realize import (
     LpsRequest,
     ShapeError,
     _is_multiplicatively_closed,
+    _torus_realization,
     realize_arbitrary,
     realize_irreducible_sft,
     realize_period_set,
@@ -119,8 +121,10 @@ class TestSofic:
         assert sofic_lps_upto(lg, 8).support == frozenset({4})
 
     def test_worked_instance(self):
+        # {6, 8, 10, ...} is almost sum-closed, so realize_sofic gives it a
+        # gap chain; the torus construction still realizes it
         desc = PeriodSetDescriptor.make((), [(2, 3, ())], certified=True)
-        lg = realize_sofic(desc)
+        lg = _torus_realization(desc)
         res = sofic_lps_upto(lg, 40)
         assert res.support == frozenset(desc.members_upto(40))
         # the ten-cycle leftover is carried by a dedicated cycle section
@@ -132,10 +136,30 @@ class TestSofic:
         assert len(labels) == 20  # (1 0^9) repeated twice
 
     def test_irreducible(self):
-        desc = PeriodSetDescriptor.make((), [(2, 3, ())], certified=True)
-        lg = realize_sofic(desc)
-        dec = scc_decompose(lg.graph)
-        assert len(dec.components) == 1 and not dec.is_trivial[0]
+        # every realization, gap chain or torus, is strongly connected
+        rng = random.Random(31)
+        requests = [PeriodSetDescriptor.make((), [(2, 3, ())], certified=True)]
+        while len(requests) < 60:
+            finite = set(rng.sample(range(1, 9), rng.randint(0, 2)))
+            comps = [(rng.randint(1, 3), rng.randint(1, 4), ())]
+            if rng.random() < 0.3:
+                comps.append((rng.randint(1, 3), rng.randint(1, 4), ()))
+            if rng.random() < 0.2:
+                finite, comps = {rng.randint(1, 9)}, []
+            requests.append(PeriodSetDescriptor.make(finite, comps, certified=True))
+        chains = 0
+        for desc in requests:
+            try:
+                gap_realize(desc)
+                chains += 1
+            except GapShapeError:
+                pass
+            lg = realize_sofic(desc)
+            dec = scc_decompose(lg.graph)
+            assert len(dec.components) == 1 and not dec.is_trivial[0], desc.to_json()
+            got = sofic_lps_upto(lg, 16).support
+            assert got == frozenset(desc.members_upto(16)), desc.to_json()
+        assert 0 < chains < len(requests)
 
     def test_all_naturals(self):
         desc = PeriodSetDescriptor.make((), [(1, 1, ())], certified=True)
@@ -148,12 +172,15 @@ class TestSofic:
 
     def test_vertex_cap(self, monkeypatch):
         # 3 * {n >= 4} | {5}: one torus section and ten cycle sections for
-        # the leftovers, 739 vertices with the shared root; {4} is a 4-cycle
+        # the leftovers, 739 vertices with the shared root. The rest are gap
+        # chains: {4} is a 4-state path (gap {3}), {1} | 2 * {n >= 2} a
+        # 3-state path and a 2-cycle (gaps {3, 5, 7, ...})
         from periodlab import realize
 
         for desc, size in (
             (PeriodSetDescriptor.make({5}, [(3, 4, ())], certified=True), 739),
             (PeriodSetDescriptor.singleton(4), 4),
+            (PeriodSetDescriptor.make({1}, [(2, 2, ())], certified=True), 5),
         ):
             monkeypatch.setattr(realize, "REALIZE_VERTEX_CAP", size)
             assert realize_sofic(desc).graph.n == size
@@ -165,13 +192,29 @@ class TestSofic:
         # words 1^(2i)0 and 1^(2i+1)0 appear on a path iff it runs through
         # torus section i (scanned over the labeled edges of each section)
         desc = PeriodSetDescriptor.make((), [(2, 3, ())], certified=True)
-        lg = realize_sofic(desc)
+        lg = _torus_realization(desc)
         res = sofic_lps_upto(lg, 20)
         for period, w in res.witnesses:
             doubled = w * 2
             visits_torus = "110" in doubled or "1110" in doubled
             # markers 11 / 111 delimited by zeros only arise from u/v words
             assert visits_torus == ("11" in doubled)
+
+    def test_gap_chain_or_torus(self):
+        # sets gap_realize accepts get the gap shift's chain; {n >= 16}
+        # takes the 32 zero counts 0..31 (gaps {15, ..., 31}). {3, 10, 12,
+        # 14, ...} misses 3 + 10 and keeps the 977-vertex torus
+        tail = PeriodSetDescriptor.make((), [(1, 16, ())], certified=True)
+        lg = realize_sofic(tail)
+        assert lg.graph.n == 32
+        assert lg.to_json() == gap_to_labeled_graph(gap_realize(tail)).to_json()
+        assert sofic_lps_upto(lg, 40).support == frozenset(range(16, 41))
+        other = PeriodSetDescriptor.make({3}, [(2, 5, ())], certified=True)
+        with pytest.raises(GapShapeError):
+            gap_realize(other)
+        lg = realize_sofic(other)
+        assert lg.graph.n == 977
+        assert lg.to_json() == _torus_realization(other).to_json()
 
 
 class TestArbitrary:

@@ -7,7 +7,7 @@ import pytest
 from periodlab import sofic
 from periodlab.arith import ResourceLimitExceeded, least_rotation_period, min_rotation
 from periodlab.graph_core import scc_decompose
-from periodlab.realize import realize_sofic
+from periodlab.realize import _torus_realization, realize_sofic
 from periodlab.sft_counting import PeriodSetDescriptor
 from periodlab.sofic import (
     DeterministicPresentation,
@@ -162,7 +162,8 @@ def engine_cases():
     rng = random.Random(404)
     out = [(random_labeled(rng, max_states=4), 7) for _ in range(10)]
     out += [(random_labeled(rng, max_states=3, alphabet="012"), 5) for _ in range(6)]
-    big = realize_sofic(PeriodSetDescriptor.make({1}, [(2, 2, ())], certified=True))
+    # {3, 4, 6, 8, ...} misses 3 + 4, so it gets the 79-vertex torus
+    big = realize_sofic(PeriodSetDescriptor.make({3}, [(2, 2, ())], certified=True))
     assert big.graph.n > 64
     out.append((big, 7))
     cases = []
@@ -238,7 +239,8 @@ class TestRelationEngine:
             return step(table, rid)
 
         monkeypatch.setattr(sofic._RelationTable, "__missing__", recorded)
-        lg = realize_sofic(PeriodSetDescriptor.make((), [(1, 1, ())], certified=True))
+        # the torus of {n >= 1}: its many relations recur across lengths
+        lg = _torus_realization(PeriodSetDescriptor.make((), [(1, 1, ())], certified=True))
         p, _witnesses = sofic_period_counts(lg, 16)
         assert p[15] > 0
         assert stepped and len(stepped) == len(set(stepped))
@@ -340,8 +342,10 @@ class TestRelationEngine:
     def test_class_pass_answers_powers_from_their_roots(self, monkeypatch):
         # u^k has relation R_u^k, which has a cycle exactly when R_u has one:
         # the class pass reads the answer off u's class and never searches
-        # the relation of a proper power
-        lg = realize_sofic(PeriodSetDescriptor.make((), [(1, 10, ())], certified=True))
+        # the relation of a proper power. The torus of {n >= 10} meets proper
+        # powers with live relations below N; its gap chain meets none, so
+        # it would not exercise the rule
+        lg = _torus_realization(PeriodSetDescriptor.make((), [(1, 10, ())], certified=True))
         N = 12
         searched = set()
         search = sofic._cycle_search
@@ -428,6 +432,8 @@ class TestSoficLps:
             PeriodSetDescriptor.make({1}, [(3, 2, ())], certified=True),
         ):
             cases.append((realize_sofic(desc), 20))
+            if desc.components:
+                cases.append((_torus_realization(desc), 20))
         for lg, N in cases:
             res = sofic_lps_upto(lg, N)
             assert res.support, lg.to_json()
