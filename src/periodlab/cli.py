@@ -1,10 +1,11 @@
 """Command-line front end: batch analysis, realization, and verification.
 
-Exit codes: 0 success, 2 parse error, 3 shape rejection (a ShapeError; any
-other ValueError is a bug), 4 oracle disagreement (always a bug, never
-swallowed), 5 resource limit exceeded (a named cap was hit), 6 internal
-error (any other exception; a bug), 7 output closed (stdout's reader went
-away, as in ``| head``; nothing is written to stderr). Reports are
+Exit codes: 0 success, 2 parse error (a malformed input, or a usage error
+such as an option the subcommand does not take), 3 shape rejection (a
+ShapeError; any other ValueError is a bug), 4 oracle disagreement (always a
+bug, never swallowed), 5 resource limit exceeded (a named cap was hit), 6
+internal error (any other exception; a bug), 7 output closed (stdout's
+reader went away, as in ``| head``; nothing is written to stderr). Reports are
 deterministic given identical inputs and flags, except for the timing
 field.
 """
@@ -67,6 +68,16 @@ LAYER_CHECK_MAX_STATES = 8
 
 class ParseFailure(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (an unknown option, a missing
+    or mistyped value) raise :class:`ParseFailure`, so they are reported as
+    JSON with exit 2 like any other parse error. Its subparsers share the
+    class."""
+
+    def error(self, message):
+        raise ParseFailure(f"{self.prog}: {message}")
 
 
 class OracleDisagreement(Exception):
@@ -324,11 +335,11 @@ def _analyze_gap(s: GapSet, N: int, cap: int, report: RunReport):
 
 
 def cmd_analyze(args) -> RunReport:
+    cap = _oracle_cap(args)
     raw, data = _load_json(args.input)
     report = RunReport("analyze", _digest(raw), args.horizon)
     kind = detect_kind(data)
     report.outputs["input_kind"] = kind
-    cap = args.oracle_cap
     if kind == "graph":
         g = _from_data(DirectedMultigraph.from_json, data)
         table = _analyze_graph(g, args.horizon, cap, report)
@@ -458,55 +469,55 @@ def cmd_embed_check(args) -> RunReport:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
-    parser = argparse.ArgumentParser(
+    """The argument parser, built on first use and shared by later calls.
+    Each subcommand registers only the options it reads."""
+    parser = _ArgumentParser(
         prog="periodlab",
         description="Exact period and least-period analysis of shift spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
+    def subcommand(name, help, with_input=True):
+        p = sub.add_parser(name, help=help)
         if with_input:
             p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--horizon", "-N", type=int, default=12)
-        p.add_argument(
-            "--format", choices=("json", "csv", "dot"), default="json"
-        )
-        p.add_argument(
-            "--oracle-cap",
-            type=int,
-            default=None,
-            help="max horizon for brute-force path enumeration (default: "
-            f"$PERIODLAB_ORACLE_CAP, else {DEFAULT_ORACLE_CAP})",
-        )
-        p.add_argument("--output", help="artifact output path")
+        return p
 
-    p = sub.add_parser("analyze", help="count tables, descriptors, oracles")
-    common(p)
-    p = sub.add_parser("realize", help="construct a shift with a given LPS")
-    common(p)
+    p = subcommand("analyze", "count tables, descriptors, oracles")
+    p.add_argument("--format", choices=("json", "csv", "dot"), default="json")
+    p.add_argument(
+        "--oracle-cap",
+        type=int,
+        default=None,
+        help="max horizon for brute-force path enumeration (default: "
+        f"$PERIODLAB_ORACLE_CAP, else {DEFAULT_ORACLE_CAP})",
+    )
+    p = subcommand("realize", "construct a shift with a given LPS")
     p.add_argument("--target", required=True, help="construction target")
-    p = sub.add_parser("embed-check", help="desk-scale embedding conditions")
+    p.add_argument("--format", choices=("json", "dot"), default="json")
+    p.add_argument("--output", help="artifact output path")
+    p = subcommand("embed-check", "desk-scale embedding conditions", with_input=False)
     p.add_argument("x", help="graph JSON for the embedded shift")
     p.add_argument("y", help="graph JSON for the mixing target")
-    common(p, with_input=False)
-    p = sub.add_parser("layers", help="unique-preimage layer decomposition")
-    common(p)
+    subcommand("layers", "unique-preimage layer decomposition")
     return parser
 
 
 def _oracle_cap(args) -> int:
     """--oracle-cap, else $PERIODLAB_ORACLE_CAP, else the default; read at
-    each call, so the environment of the call decides."""
-    if args.oracle_cap is not None:
-        return args.oracle_cap
-    raw = os.environ.get("PERIODLAB_ORACLE_CAP")
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseFailure(f"PERIODLAB_ORACLE_CAP must be an integer, got {raw!r}") from exc
+    each call, so the environment of the call decides. Below 1 is a parse
+    error."""
+    cap = args.oracle_cap
+    if cap is None:
+        raw = os.environ.get("PERIODLAB_ORACLE_CAP", str(DEFAULT_ORACLE_CAP))
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise ParseFailure(f"PERIODLAB_ORACLE_CAP must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise ParseFailure(f"--oracle-cap must be >= 1, got {cap}")
+    return cap
 
 
 def _silence_stdout() -> None:
@@ -530,14 +541,11 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args = build_parser().parse_args(argv)
-    start = time.monotonic()
     try:
-        args.oracle_cap = _oracle_cap(args)
+        args = build_parser().parse_args(argv)
+        start = time.monotonic()
         if args.horizon < 1:
             raise ParseFailure(f"--horizon must be >= 1, got {args.horizon}")
-        if args.oracle_cap < 1:
-            raise ParseFailure(f"--oracle-cap must be >= 1, got {args.oracle_cap}")
         if args.command == "analyze":
             report = cmd_analyze(args)
         elif args.command == "realize":

@@ -16,6 +16,8 @@ for every set :func:`gap_realize` accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import merge
+from itertools import groupby
 from math import gcd
 
 from .arith import lcm
@@ -348,11 +350,16 @@ def _closure_witness(desc: PeriodSetDescriptor):
     listed lazily, in increasing order, while the least one is paired with
     each next one: a witness there (983 + 991 for the scales 983, 991 and
     997, whose L is about 9.7e8) ends the search before the list is built.
+    The list merges the finite part with each component's multiples, so no
+    number outside the set is tested.
     """
     if desc.is_empty:
         return None
     limit = desc.structural_bound() + 2 * desc.tail_lcm()
-    members = (n for n in range(1, limit + 1) if desc.contains(n))
+    streams = [sorted(desc.finite_part)] + [
+        range(c.scale * c.threshold, limit + 1, c.scale) for c in desc.components
+    ]
+    members = (n for n, _ in groupby(merge(*streams)))
     first = next(members)
     listed = [first]
     for y in members:

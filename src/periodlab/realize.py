@@ -266,7 +266,8 @@ def _torus_realization(desc: PeriodSetDescriptor) -> LabeledGraph:
     by repeated 1 0^(j-1); all section roots are identified. The size grows
     like the fourth power of the tail start. Raises
     :class:`ResourceLimitExceeded` before building any section when the
-    result would have more than ``REALIZE_VERTEX_CAP`` vertices.
+    result would have more than ``REALIZE_VERTEX_CAP`` vertices, and before
+    sweeping for leftovers when the tori alone would.
     """
     pool = set(desc.finite_part)
     comps = []  # (d_i, k_i) with tail {d(k+1), d(k+2), ...}
@@ -301,6 +302,9 @@ def _torus_realization(desc: PeriodSetDescriptor) -> LabeledGraph:
                 raise AssertionError("no valid torus multiplicity found")
         plan.append((_torus_section, (idx, t, u, v), t * t * (len(u) + len(v) - 1)))
         words.append((len(u), len(v)))
+    # the tori alone may pass the cap, and the sweep for leftovers below
+    # grows like the fourth power of the tail start
+    _check_realize_size(_planned_size(plan))
     bound = max(
         [d * (k + 1) * (k + 2) for (d, k) in comps] + [max(pool, default=0)]
     )
@@ -319,8 +323,7 @@ def _torus_realization(desc: PeriodSetDescriptor) -> LabeledGraph:
             if c * j > 8 * (floor + step) * (j + 1):
                 raise AssertionError("no valid cycle multiplicity found")
         plan.append((_cycle_section, (j, c), c * j))
-    # every section's root is the one shared root
-    _check_realize_size(1 + sum(size - 1 for _build, _args, size in plan))
+    _check_realize_size(_planned_size(plan))
     vertices, edges, labels = ["root"], [], {}
     for build, args, _size in plan:
         sec_vertices, sec_edges, sec_labels, root = build(*args)
@@ -332,6 +335,12 @@ def _torus_realization(desc: PeriodSetDescriptor) -> LabeledGraph:
             edges.append((rename.get(src, src), rename.get(dst, dst), eid))
         labels.update(sec_labels)
     return LabeledGraph.build(DirectedMultigraph.build(vertices, edges), labels)
+
+
+def _planned_size(plan) -> int:
+    """Vertex count of the planned sections once every section's root is
+    the one shared root."""
+    return 1 + sum(size - 1 for _build, _args, size in plan)
 
 
 def _check_realize_size(vertices: int) -> None:

@@ -4,7 +4,9 @@ Covers exact periodic-point counts and least-period sets by transition
 relation classes, subset-construction determinization with follower-set
 minimization (Fischer cover for irreducible shifts), synchronizing words,
 receptive periodic points, and the layer graphs that realize the
-unique-preimage decomposition of the least-period set.
+unique-preimage decomposition of the least-period set. Every question of
+what a word does to the states of a presentation, the Fischer cover's
+included, is answered by that presentation's relation engine.
 
 A periodic point of the presented shift is the bi-infinite repetition of a
 word w; it belongs to the shift iff the transition relation of w has a
@@ -19,20 +21,22 @@ met again, at another length or in another pass, is stepped by one table
 lookup; the subset construction steps its subsets through the row tables.
 Words of one length are grouped by relation id, so period counts, and
 through Möbius inversion the least-period set, come from one pass over the
-relation classes, which also supplies the witness words. The layer analysis
+relation classes, which also supplies the witness words; a period no class
+representative carries gets the first Lyndon word of a search to that
+length alone. On a Fischer cover the same pass counts the primitive words
+that label closed paths, the receptive least periods. The layer analysis
 walks the Lyndon words of the shift (one per periodic orbit) in a single
 depth-first search and extends each word's relation id in a higher layer
-from that of its longest prefix shared with the word before;
-a period no class representative carries gets the first Lyndon word of a
-search to that length alone. Two presentations of the same point are
-*mutually separated* when they occupy distinct vertices at every time; the
-layer-i graph tracks i-sets of vertices joined by injective
-label-respecting matchings, so a point has >= i mutually separated
-presentations exactly when some layer-i walk carries its label.
+from that of its longest prefix shared with the word before. Two
+presentations of the same point are *mutually separated* when they occupy
+distinct vertices at every time; the layer-i graph tracks i-sets of
+vertices joined by injective label-respecting matchings, so a point has
+>= i mutually separated presentations exactly when some layer-i walk
+carries its label.
 
-The relation-class pass, the Lyndon-word search, the layer analysis, the
-language-inclusion check and the transition-monoid count are bounded by the
-module constants below; passing one raises :class:`ResourceLimitExceeded`.
+The relation-class pass, the Lyndon-word search, the layer analysis and the
+language-inclusion check are bounded by the module constants below; passing
+one raises :class:`ResourceLimitExceeded`.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ RELATION_CLASS_CAP = 200_000  # relation classes of one word length
 WORD_BUDGET = 5_000_000  # relation steps of one Lyndon-word search
 LAYER_MAX_STATES = 12  # presentation states the layer analysis accepts
 INCLUSION_PAIR_CAP = 200_000  # (state, state set) pairs of the inclusion check
-MONOID_CAP = 200_000  # transition-monoid elements of one word length
 
 
 def as_word(w) -> tuple:
@@ -396,23 +399,15 @@ def _lyndon_words_in_shift(lg: LabeledGraph, N: int):
         stack.extend(reversed(children))
 
 
-def sofic_period_counts(lg: LabeledGraph, N: int):
-    """Exact point counts p_n of the presented sofic shift for n <= N, with
-    a witness word for every least rotation period seen along the way.
-
-    Words of each length are grouped by their transition relation (counts
-    add, one representative word is kept), so the pass is exponential only
-    in the relation-class structure, not in the word count. More than
-    RELATION_CLASS_CAP classes at one length is a resource limit.
-    """
-    p = [0] * N
-    witnesses: dict = {}
-    if lg.graph.n == 0:
-        return p, witnesses
+def _relation_classes(lg: LabeledGraph, N: int):
+    """For n = 1..N, yields n and the words of length n grouped by relation
+    id: a dict relation id -> [word count, representative word], the empty
+    relation left out. The representative is the first word of the class
+    in the order of the sorted alphabet. More than RELATION_CLASS_CAP
+    classes at one length is a resource limit."""
     engine = lg.relations
     steps = [(a, engine.steps[a].__getitem__) for a in lg.alphabet]
-    relations, cycles, row_of = engine.relations, engine.cycles, engine.rows.__getitem__
-    level = {1: [1, ()]}  # relation id -> [word count, representative word]
+    level = {1: [1, ()]}
     for n in range(1, N + 1):
         nxt: dict = {}
         for rid, (cnt, rep) in level.items():
@@ -427,6 +422,25 @@ def sofic_period_counts(lg: LabeledGraph, N: int):
         level = nxt
         if len(level) > RELATION_CLASS_CAP:
             raise ResourceLimitExceeded("relation-class cap exceeded")
+        yield n, level
+
+
+def sofic_period_counts(lg: LabeledGraph, N: int):
+    """Exact point counts p_n of the presented sofic shift for n <= N, with
+    a witness word for every least rotation period seen along the way.
+
+    Words of each length are grouped by their transition relation (counts
+    add, one representative word is kept, see :func:`_relation_classes`),
+    so the pass is exponential only in the relation-class structure, not in
+    the word count.
+    """
+    p = [0] * N
+    witnesses: dict = {}
+    if lg.graph.n == 0:
+        return p, witnesses
+    engine = lg.relations
+    relations, cycles, row_of = engine.relations, engine.cycles, engine.rows.__getitem__
+    for n, level in _relation_classes(lg, N):
         total = 0
         # a length-n word's least rotation period divides n: once every
         # divisor has a witness, no class of this length adds one
@@ -521,53 +535,22 @@ class DeterministicPresentation:
     minimal: bool
     irreducible: bool
 
-    @cached_property
-    def delta(self) -> dict:
-        """(state, symbol) -> state (partial)."""
-        out = {}
-        lm = self.lg.label_map
-        for src, dst, eid in self.lg.graph.edges:
-            key = (src, lm[eid])
-            if key in out:
-                raise ValueError("presentation is not right-resolving")
-            out[key] = dst
-        return out
-
     @property
     def states(self) -> tuple:
         return self.lg.graph.vertices
 
-    def read(self, state, w):
-        for a in w:
-            state = self.delta.get((state, a))
-            if state is None:
-                return None
-        return state
-
-    def image_set(self, w) -> frozenset:
-        cur = set(self.states)
-        for a in w:
-            cur = {self.delta.get((q, a)) for q in cur}
-            cur.discard(None)
-            if not cur:
-                break
-        return frozenset(cur)
-
-    def allows(self, w) -> bool:
-        return bool(self.image_set(w))
-
 
 def _subset_automaton(lg: LabeledGraph):
-    """Subset construction seeded at the full vertex set: states are
-    frozensets of vertices, transitions per symbol by the union step (a
-    row-table lookup, the subset being a row)."""
+    """Subset construction seeded at the full vertex set: states are the
+    row ids of vertex subsets, transitions per symbol by the union step (a
+    row-table lookup)."""
     nv = lg.graph.n
     if nv == 0:
         return {}, []
     engine = lg.relations
     steps = [(a, engine.tables[a].__getitem__) for a in lg.alphabet]
     full = engine.intern((1 << nv) - 1)
-    moves = []  # (state, symbol, state) as row ids, in discovery order
+    trans = {}  # (state, symbol) -> state, in discovery order
     stack = [full]
     seen = {full}
     while stack:
@@ -575,13 +558,11 @@ def _subset_automaton(lg: LabeledGraph):
         for a, step in steps:
             nxt = step(cur)
             if nxt:
-                moves.append((cur, a, nxt))
+                trans[(cur, a)] = nxt
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-    subset = {rid: frozenset(_bits(engine.rows[rid])) for rid in seen}
-    trans = {(subset[q], a): subset[t] for (q, a, t) in moves}
-    return trans, sorted(subset.values(), key=sorted)
+    return trans, sorted(seen)
 
 
 def _trim_automaton(states, trans):
@@ -626,11 +607,10 @@ def _minimize_partial(states, trans, alphabet):
             break
         cls = new_cls
     classes = sorted(set(renum.values()))
-    members = {c: sorted((q for q in states if renum[q] == c), key=sorted) for c in classes}
     qtrans = {}
     for (q, a), t in trans.items():
         qtrans[(renum[q], a)] = renum[t]
-    return classes, members, qtrans
+    return classes, qtrans
 
 
 def _language_covered_by(states, trans, alphabet, comp):
@@ -676,12 +656,9 @@ def determinize_and_minimize(lg: LabeledGraph) -> DeterministicPresentation:
         return DeterministicPresentation(empty, False, False)
     trans, states = _subset_automaton(ess)
     states, trans = _trim_automaton(states, trans)
-    classes, members, qtrans = _minimize_partial(states, trans, ess.alphabet)
+    classes, qtrans = _minimize_partial(states, trans, ess.alphabet)
     # condensation of the class automaton
     cedges = [(q, t) for ((q, _a), t) in qtrans.items()]
-    succ = {c: set() for c in classes}
-    for q, t in cedges:
-        succ[q].add(t)
     name = {c: "s" + str(i) for i, c in enumerate(classes)}
 
     def build(chosen, minimal, irreducible):
@@ -719,24 +696,25 @@ def determinize_and_minimize(lg: LabeledGraph) -> DeterministicPresentation:
 def synchronizing_words_upto(dp: DeterministicPresentation, L: int) -> list:
     """Words of length <= L whose read image over all states is a single
     state. Requires the minimal irreducible presentation, where focusing
-    certifies intrinsic synchronization."""
+    certifies intrinsic synchronization. Images are row ids, stepped through
+    the row tables from the full state set; ids 1..n are the single
+    states."""
     if not (dp.minimal and dp.irreducible):
         raise ValueError("synchronizing-word analysis needs the minimal cover")
+    nv = dp.lg.graph.n
+    engine = dp.lg.relations
+    steps = [(a, engine.tables[a].__getitem__) for a in dp.lg.alphabet]
     out = []
-    frontier = [((), frozenset(dp.states))]
+    frontier = [((), engine.intern((1 << nv) - 1))]
     for _ in range(L):
         nxt = []
         for w, img in frontier:
-            for a in dp.lg.alphabet:
-                img2 = frozenset(
-                    t
-                    for t in (dp.delta.get((q, a)) for q in img)
-                    if t is not None
-                )
+            for a, step in steps:
+                img2 = step(img)
                 if img2:
                     w2 = w + (a,)
                     nxt.append((w2, img2))
-                    if len(img2) == 1:
+                    if img2 <= nv:
                         out.append(word_str(w2))
         frontier = nxt
     return sorted(out, key=lambda w: (len(w), w))
@@ -750,6 +728,14 @@ class ReceptiveCertificate:
     reason: str
 
 
+def _closed_at(engine: RelationEngine, rid: int) -> set:
+    """Source indices v whose row in relation id ``rid`` holds v: the
+    states where a word of that relation labels a closed path."""
+    sources, row_ids = engine.relations[rid]
+    rows = engine.rows
+    return {v for v, r in zip(sources, row_ids) if rows[r] >> v & 1}
+
+
 def is_receptive(dp: DeterministicPresentation, w) -> ReceptiveCertificate:
     """Does the point w^infinity admit a presentation of its own least
     period, i.e. a closed path of length |w| labeled by a rotation of w in
@@ -759,86 +745,44 @@ def is_receptive(dp: DeterministicPresentation, w) -> ReceptiveCertificate:
     w = as_word(w)
     if least_rotation_period(w) != len(w):
         raise ValueError("w must not be purely periodic")
+    engine = dp.lg.relations
+    idx = dp.lg.graph.index
     for r in range(len(w)):
         rot = w[r:] + w[:r]
+        closed = _closed_at(engine, engine._word_id(rot))
         for q in dp.states:
-            if dp.read(q, rot) == q:
+            if idx[q] in closed:
                 return ReceptiveCertificate(True, q, word_str(rot), "cycle found")
     return ReceptiveCertificate(
         False, None, None, "no closed path of this length carries any rotation"
     )
 
 
-def _partial_map_of_symbol(dp: DeterministicPresentation):
-    states = dp.states
-    idx = {q: i for i, q in enumerate(states)}
-    maps = {}
-    for a in dp.lg.alphabet:
-        maps[a] = tuple(
-            idx.get(dp.delta.get((q, a))) for q in states
-        )
-    return maps
-
-
-def _compose_maps(f, g):
-    """Apply f, then g."""
-    return tuple(g[x] if x is not None else None for x in f)
-
-
-def _map_power(f, k):
-    out = tuple(range(len(f)))
-    base = f
-    while k:
-        if k & 1:
-            out = _compose_maps(out, base)
-        k >>= 1
-        if k:
-            base = _compose_maps(base, base)
-    return out
-
-
 def receptive_lps_upto(dp: DeterministicPresentation, N: int) -> frozenset:
     """Least periods n <= N of receptive periodic points: lengths n for
     which some primitive word of length n labels a closed path.
 
-    Counted exactly via the transition monoid: the number of primitive
-    words of each length whose partial map has a fixed point.
+    Counted exactly on the relation classes of :func:`_relation_classes`.
+    The words of a class whose relation is the (n/m)-th power of a shorter
+    class's are not primitive when that class's are, so a class's primitive
+    count is its word count less, for each divisor m < n and each class of
+    length m with primitive words, their count when the power lands in it.
     """
     if not (dp.minimal and dp.irreducible):
         raise ValueError("receptive analysis needs the minimal irreducible cover")
-    sym_maps = _partial_map_of_symbol(dp)
-    counts: list = [None] * (N + 1)  # counts[n]: map -> number of words
-    first = {}
-    for a, f in sym_maps.items():
-        first[f] = first.get(f, 0) + 1
-    counts[1] = first
-    for n in range(2, N + 1):
-        cur: dict = {}
-        for f, c in counts[n - 1].items():
-            for a, g in sym_maps.items():
-                h = _compose_maps(f, g)
-                cur[h] = cur.get(h, 0) + c
-        if len(cur) > MONOID_CAP:
-            raise ResourceLimitExceeded("transition monoid too large")
-        counts[n] = cur
-    prim: list = [None] * (N + 1)
-    for n in range(1, N + 1):
-        cur = dict(counts[n])
-        for m in range(1, n):
-            if n % m == 0:
-                for h, c in prim[m].items():
-                    hk = _map_power(h, n // m)
-                    if hk in cur:
-                        cur[hk] -= c
-                        if cur[hk] == 0:
-                            del cur[hk]
-        prim[n] = cur
+    engine = dp.lg.relations
+    primitive: dict = {}  # m -> ((representative, primitive count), ...)
     out = set()
-    for n in range(1, N + 1):
-        for f, c in prim[n].items():
-            if c > 0 and any(f[v] == v for v in range(len(dp.states))):
-                out.add(n)
-                break
+    for n, level in _relation_classes(dp.lg, N):
+        counts = {rid: cnt for rid, (cnt, _rep) in level.items()}
+        for m in divisors(n)[:-1]:
+            for rep, cnt in primitive[m]:
+                rid = engine._word_id(rep * (n // m))
+                if rid:
+                    counts[rid] -= cnt
+        primitive[n] = tuple((level[rid][1], c) for rid, c in counts.items() if c)
+        if any(c and _closed_at(engine, rid) for rid, c in counts.items()):
+            out.add(n)
     return frozenset(out)
 
 

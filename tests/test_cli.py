@@ -433,6 +433,23 @@ class TestRealize:
             assert f"{size} vertices" in out["detail"]
             assert "REALIZE_VERTEX_CAP = 30000" in out["detail"]
 
+    def test_torus_vertex_cap_before_the_leftover_sweep(self, tmp_path, capsys):
+        # 2 * {n >= 1} | 3 * {n >= T} misses 2 + 3T; at T = 160 the two tori
+        # alone take 133,447 vertices and are refused before the sweep for
+        # leftovers, which grows like T^4; at T = 40 the tori fit and the
+        # leftover cycles pass the cap
+        import time
+
+        for threshold, size in ((160, 133447), (40, 1399939)):
+            payload = {"components": [{"d": 2, "threshold": 1}, {"d": 3, "threshold": threshold}]}
+            path = write(tmp_path, "torus.json", payload)
+            start = time.perf_counter()
+            code, out = run(capsys, ["realize", "--input", path, "--target", "irreducible_sofic"])
+            assert time.perf_counter() - start < 5
+            assert code == EXIT_RESOURCE
+            assert f"{size} vertices" in out["detail"]
+            assert "REALIZE_VERTEX_CAP = 30000" in out["detail"]
+
     def test_realize_gap_chain_vertex_cap(self, tmp_path, capsys):
         # 1000 * {n >= 1000} is almost sum-closed; its gap chain would take
         # the 2,000,000 zero counts below the doubling block's last gap
@@ -756,12 +773,43 @@ class TestResourceLimits:
         assert payload["error"] == "resource_limit"
         assert f"<= {LAYER_MAX_STATES} states, got {n}" in payload["detail"]
 
+    def test_usage_errors_are_parse_errors(self, tmp_path, capsys):
+        # each subcommand takes only the options it reads; anything else,
+        # and a mistyped value, is a parse error reported on stdout
+        path = write(tmp_path, "even.json", EVEN)
+        out_file = tmp_path / "f.json"
+        cases = [
+            (["analyze", "--input", path, "--bogus"], "unrecognized arguments: --bogus"),
+            (["analyze", "--input", path, "--output", str(out_file)], "--output"),
+            (["realize", "--input", path, "--horizon", "x"], "invalid int value: 'x'"),
+            (["realize", "--input", path, "--target", "irreducible_sft", "--format", "csv"],
+             "invalid choice: 'csv'"),
+            (["realize", "--input", path], "--target"),
+            (["layers", "--input", path, "--oracle-cap", "3", "--format", "csv",
+              "--output", str(out_file)], "unrecognized arguments"),
+            (["embed-check", path, path, "--format", "dot"], "unrecognized arguments"),
+            (["embed-check", path, path, "--oracle-cap", "3"], "unrecognized arguments"),
+            (["layers"], "--input"),
+            (["verify", "--input", path], "invalid choice: 'verify'"),
+            ([], "command"),
+        ]
+        for argv, detail in cases:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == EXIT_PARSE, argv
+            payload = json.loads(captured.out)
+            assert payload["error"] == "parse"
+            assert detail in payload["detail"], (argv, payload)
+            assert captured.err == ""
+        assert not out_file.exists()
+
     def test_seed_flag_is_gone(self, tmp_path, capsys):
         path = write(tmp_path, "gm.json", GOLDEN)
         code, report = run(capsys, ["analyze", "--input", path, "--horizon", "4"])
         assert code == EXIT_OK and "seed" not in report
-        with pytest.raises(SystemExit):
-            main(["analyze", "--input", path, "--seed", "1"])
+        code, payload = run(capsys, ["analyze", "--input", path, "--seed", "1"])
+        assert code == EXIT_PARSE and payload["error"] == "parse"
+        assert "--seed" in payload["detail"]
 
 
 class TestInternalError:

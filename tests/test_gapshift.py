@@ -188,6 +188,39 @@ class TestGapRealize:
         assert time.perf_counter() - start < 5
         assert err.value.witness == (983, 991)
 
+    def test_far_witness(self):
+        # 15 + 874160 is the first missing sum: the members are listed from
+        # the two progressions, not found by testing every number below
+        q = PeriodSetDescriptor.make((), [(3, 5, ()), (980, 891, ())], certified=True)
+        with pytest.raises(GapShapeError) as err:
+            gap_realize(q)
+        assert err.value.witness == (15, 874160)
+
+    def test_witness_against_pair_sweep(self):
+        # a witness is a pair of distinct members whose sum is missing, and
+        # there is none exactly when no such pair lies below the periodic
+        # tail's second period
+        from periodlab.gapshift import _closure_witness
+
+        rng = random.Random(41)
+        for _ in range(200):
+            finite = rng.sample(range(1, 20), rng.randint(0, 3))
+            comps = [(rng.randint(1, 6), rng.randint(1, 6), ()) for _ in range(rng.randint(0, 2))]
+            q = PeriodSetDescriptor.make(finite, comps, certified=True)
+            if q.is_empty:
+                continue
+            members = q.members_upto(q.structural_bound() + 2 * q.tail_lcm())
+            missing = [
+                (x, y) for i, x in enumerate(members) for y in members[i + 1:]
+                if not q.contains(x + y)
+            ]
+            witness = _closure_witness(q)
+            assert (witness is None) == (not missing), q.to_json()
+            if witness is not None:
+                x, y = witness
+                assert x < y and q.contains(x) and q.contains(y)
+                assert not q.contains(x + y)
+
     def test_round_trip_corpus(self):
         rng = random.Random(97)
         descriptors = []

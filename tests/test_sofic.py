@@ -51,6 +51,26 @@ def layered_dag(layers=9, width=8):
     return build_labeled(verts, edges)
 
 
+def resolving_moves(lg):
+    """(state, symbol) -> state of a right-resolving presentation, read off
+    its edges; fails when two edges from one state share a symbol."""
+    moves = {}
+    for src, dst, eid in lg.graph.edges:
+        key = (src, lg.label_map[eid])
+        assert key not in moves, f"two {key[1]}-edges leave {src}"
+        moves[key] = dst
+    return moves
+
+
+def read(moves, state, w):
+    """The state reached from ``state`` along the word w, or None."""
+    for a in w:
+        state = moves.get((state, a))
+        if state is None:
+            return None
+    return state
+
+
 def label_matrices(lg):
     """Per symbol, the 0/1 adjacency matrix (list of int rows) of the edges
     carrying that symbol, indexed like the graph's vertices."""
@@ -484,12 +504,12 @@ class TestSoficCaps:
         with pytest.raises(ResourceLimitExceeded, match="inclusion"):
             determinize_and_minimize(even_shift)
 
-    def test_monoid_cap(self, even_shift, monkeypatch):
-        # the even shift's cover has more than one transition map of length 2
+    def test_relation_class_cap_in_receptive_count(self, even_shift, monkeypatch):
+        # the even shift's cover has two relation classes at length 1
         dp = determinize_and_minimize(even_shift)
         assert receptive_lps_upto(dp, 4) == frozenset({1, 3, 4})
-        monkeypatch.setattr(sofic, "MONOID_CAP", 1)
-        with pytest.raises(ResourceLimitExceeded, match="monoid"):
+        monkeypatch.setattr(sofic, "RELATION_CLASS_CAP", 1)
+        with pytest.raises(ResourceLimitExceeded, match="relation-class"):
             receptive_lps_upto(dp, 4)
 
 
@@ -527,15 +547,16 @@ class TestDeterminize:
 
     def test_right_resolving(self, even_shift):
         dp = determinize_and_minimize(even_shift)
-        dp.delta  # raises if not right-resolving
+        resolving_moves(dp.lg)  # fails if not right-resolving
 
     def test_follower_separated(self, even_shift):
         dp = determinize_and_minimize(even_shift)
+        moves = resolving_moves(dp.lg)
         # minimality: the two states disagree on some word
         words = ["0", "1", "00", "01", "10", "11"]
         s0, s1 = dp.states
         assert any(
-            (dp.read(s0, w) is None) != (dp.read(s1, w) is None) for w in words
+            (read(moves, s0, w) is None) != (read(moves, s1, w) is None) for w in words
         )
 
     def test_preserves_lps_random(self):
@@ -589,9 +610,14 @@ def bounded_synchronizing_definition(dp, w, max_len=8, max_k=8):
     """Cross-check: exist synchronizing v1, v2 with v1 w^k v2 allowed for
     all k <= max_k."""
     sync = synchronizing_words_upto(dp, max_len)
+    moves = resolving_moves(dp.lg)
+
+    def allowed(word):
+        return any(read(moves, q, word) is not None for q in dp.states)
+
     for v1 in sync:
         for v2 in sync:
-            if all(dp.allows(v1 + "".join(w) * k + v2) for k in range(1, max_k + 1)):
+            if all(allowed(v1 + "".join(w) * k + v2) for k in range(1, max_k + 1)):
                 return True
     return False
 
@@ -643,6 +669,28 @@ class TestReceptive:
     def test_receptive_lps_golden(self, golden_cover):
         dp = determinize_and_minimize(golden_cover)
         assert receptive_lps_upto(dp, 5) == frozenset({1, 2, 3, 4, 5})
+
+    def test_receptive_lps_is_closed_primitive_words_random(self):
+        # on random minimal covers, against every primitive word of each
+        # length read along the cover's edges
+        rng = random.Random(88)
+        covers = 0
+        for alphabet in ("01", "012"):
+            for _ in range(30):
+                dp = determinize_and_minimize(random_labeled(rng, 4, alphabet))
+                if not (dp.minimal and dp.irreducible):
+                    continue
+                covers += 1
+                moves = resolving_moves(dp.lg)
+                closed = {
+                    n
+                    for n in range(1, 9)
+                    for w in itertools.product(dp.lg.alphabet, repeat=n)
+                    if least_rotation_period(w) == n
+                    and any(read(moves, q, w) == q for q in dp.states)
+                }
+                assert receptive_lps_upto(dp, 8) == frozenset(closed), dp.lg.to_json()
+        assert covers >= 20
 
     def test_structure_within_certified_threshold(self, even_shift, golden_cover):
         # contained in d*N with at most an initial-segment complement
