@@ -171,9 +171,32 @@ class SccDecomposition:
 
 
 def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
-    """Tarjan's algorithm (iterative); components ordered canonically."""
-    n = g.n
-    adj = g.out_adj
+    """Tarjan's algorithm (iterative); components ordered canonically, by
+    the sorted list of their vertex ids."""
+    comps = strong_components([[w for (w, _e) in row] for row in g.out_adj])
+    comp_sets = [frozenset(g.by_index[i] for i in c) for c in comps]
+    order = sorted(range(len(comp_sets)), key=lambda i: sorted(comp_sets[i]))
+    comp_sets = [comp_sets[i] for i in order]
+    member = {}
+    for i, c in enumerate(comp_sets):
+        for v in c:
+            member[v] = i
+    trivial = [True] * len(comp_sets)
+    cond = set()
+    for src, dst, _ in g.edges:
+        a, b = member[src], member[dst]
+        if a == b:
+            trivial[a] = False
+        else:
+            cond.add((a, b))
+    return SccDecomposition(tuple(comp_sets), tuple(trivial), frozenset(cond))
+
+
+def strong_components(adj) -> list:
+    """Strongly connected components of the digraph on vertex indices
+    0..len(adj)-1 with an edge v -> w for each w in adj[v], as lists of
+    indices, in the order Tarjan's algorithm (iterative) closes them."""
+    n = len(adj)
     index = [0] * n
     low = [0] * n
     on_stack = [False] * n
@@ -196,7 +219,7 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
                 on_stack[v] = True
             advanced = False
             while ei < len(adj[v]):
-                w = adj[v][ei][0]
+                w = adj[v][ei]
                 ei += 1
                 if not visited[w]:
                     work[-1] = (v, ei)
@@ -220,23 +243,7 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
             if work:
                 u, _ = work[-1]
                 low[u] = min(low[u], low[v])
-
-    comp_sets = [frozenset(g.by_index[i] for i in c) for c in comps]
-    order = sorted(range(len(comp_sets)), key=lambda i: sorted(comp_sets[i]))
-    comp_sets = [comp_sets[i] for i in order]
-    member = {}
-    for i, c in enumerate(comp_sets):
-        for v in c:
-            member[v] = i
-    trivial = [True] * len(comp_sets)
-    cond = set()
-    for src, dst, _ in g.edges:
-        a, b = member[src], member[dst]
-        if a == b:
-            trivial[a] = False
-        else:
-            cond.add((a, b))
-    return SccDecomposition(tuple(comp_sets), tuple(trivial), frozenset(cond))
+    return comps
 
 
 def component_period(g: DirectedMultigraph, component) -> int:

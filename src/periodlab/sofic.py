@@ -24,15 +24,21 @@ through Möbius inversion the least-period set, come from one pass over the
 relation classes, which also supplies the witness words; a period no class
 representative carries gets the first Lyndon word of a search to that
 length alone. On a Fischer cover the same pass counts the primitive words
-that label closed paths, the receptive least periods. The layer analysis
-walks the Lyndon words of the shift (one per periodic orbit) in a single
-depth-first search and extends each word's relation id in a higher layer
-from that of its longest prefix shared with the word before. Two
-presentations of the same point are *mutually separated* when they occupy
-distinct vertices at every time; the layer-i graph tracks i-sets of
-vertices joined by injective label-respecting matchings, so a point has
->= i mutually separated presentations exactly when some layer-i walk
-carries its label.
+that label closed paths, the receptive least periods. Two presentations of
+the same point are *mutually separated* when they occupy distinct vertices
+at every time; the layer-i graph tracks i-sets of vertices joined by
+injective label-respecting matchings, so a point has >= i mutually
+separated presentations exactly when some layer-i walk carries its label.
+The layer analysis walks the Lyndon words of the shift (one per periodic
+orbit) in a single depth-first search over per-depth arrays, which also
+tells how long a prefix each word shares with the one before. Each higher
+layer, built from integer step masks over index subsets, keeps the relation
+ids of the prefixes of the last word it extended, so a word costs one step
+per symbol past that shared prefix. A word w is tested in layers 2, 3, ...
+only up to |image(R_w)|, R_w its relation on the presentation: i mutually
+separated presentations put i vertices on cycles of R_w, so the separation
+of w is at most the number of vertices on cycles of R_w, which is at most
+|image(R_w)|.
 
 The relation-class pass, the Lyndon-word search, the layer analysis and the
 language-inclusion check are bounded by the module constants below; passing
@@ -52,7 +58,12 @@ from .arith import (
     least_rotation_period,
     min_rotation,
 )
-from .graph_core import DirectedMultigraph, essential_subgraph, scc_decompose
+from .graph_core import (
+    DirectedMultigraph,
+    essential_subgraph,
+    scc_decompose,
+    strong_components,
+)
 
 RELATION_CLASS_CAP = 200_000  # relation classes of one word length
 WORD_BUDGET = 5_000_000  # relation steps of one Lyndon-word search
@@ -354,49 +365,81 @@ def periodic_point_in_shift(lg: LabeledGraph, w) -> bool:
     return engine._cycle(engine._word_id(as_word(w)))
 
 
-def _lyndon_words_in_shift(lg: LabeledGraph, N: int):
+def _lyndon_walk(lg: LabeledGraph, N: int, sym: list):
     """Every Lyndon word w of length <= N whose bi-infinite repetition lies
     in the shift, in lexicographic order over the sorted alphabet; yields
-    (w, relation id of w).
+    (len(w), relation id of w, shared), where shared is the length of the
+    prefix w shares with the word yielded before (0 for the first). The
+    walk writes w's symbol indices into ``sym[:len(w)]`` (a list of length
+    >= N that the caller owns), and leaves ``sym[:shared]`` as it was.
 
     A Lyndon word is primitive and strictly smaller than its other
     rotations, so these are exactly the least-rotation representatives of
     the periodic points with least period <= N. The depth-first search
     extends prenecklaces only (FKM rule: with p the length of the longest
     Lyndon prefix of w, the next symbol is at least w[len(w) - p]; w is
-    Lyndon when p = len(w)) and prunes a word whose relation is empty.
-    Spends at most WORD_BUDGET relation steps.
+    Lyndon when p = len(w)) and prunes a word whose relation is empty. Per
+    depth t it keeps the symbol at t, p and the relation id of the length-t
+    prefix, and the next symbol to try. Entering a node charges one
+    relation step per candidate symbol, all at once, and more than
+    WORD_BUDGET in all is a resource limit.
     """
     if lg.graph.n == 0 or N < 1:
         return
     engine = lg.relations
-    alphabet = lg.alphabet
-    steps = [engine.steps[a].__getitem__ for a in alphabet]
+    steps = [engine.steps[a].__getitem__ for a in lg.alphabet]
+    width = len(steps)
     cycles = engine.cycles
-    spent = 0
-    # (word as symbol indices, longest Lyndon prefix length, relation id)
-    stack = [((), 1, 1)]
-    while stack:
-        w, p, rid = stack.pop()
-        t = len(w)
-        if t and p == t:
+    ps = [1] * (N + 1)  # ps[t]: longest Lyndon prefix length of the t-prefix
+    rids = [1] * (N + 1)  # rids[t]: relation id of the t-prefix
+    lows = [0] * (N + 1)  # lows[t]: least symbol a child of the t-prefix takes
+    nexts = [0] * (N + 1)  # nexts[t]: next symbol to try after the t-prefix
+    spent = width
+    if spent > WORD_BUDGET:
+        raise ResourceLimitExceeded("periodic word sweep budget exceeded")
+    shared = 0
+    t = 0
+    while True:
+        i = nexts[t]
+        if i == width:
+            if not t:
+                return
+            t -= 1
+            continue
+        nexts[t] = i + 1
+        rid = steps[i](rids[t])
+        if not rid:
+            continue
+        sym[t] = i
+        if t < shared:
+            shared = t
+        p = ps[t] if i == lows[t] else t + 1
+        t += 1
+        rids[t] = rid
+        ps[t] = p
+        if p == t:
             cyc = cycles[rid]
             if cyc is None:
                 cyc = engine._cycle(rid)
             if cyc:
-                yield tuple(map(alphabet.__getitem__, w)), rid
+                yield t, rid, shared
+                shared = t
         if t == N:
+            t -= 1
             continue
-        low = w[t - p] if t else 0
-        children = []
-        for i in range(low, len(alphabet)):
-            spent += 1
-            if spent > WORD_BUDGET:
-                raise ResourceLimitExceeded("periodic word sweep budget exceeded")
-            nxt = steps[i](rid)
-            if nxt:
-                children.append((w + (i,), p if i == low else t + 1, nxt))
-        stack.extend(reversed(children))
+        low = lows[t] = nexts[t] = sym[t - p]
+        spent += width - low
+        if spent > WORD_BUDGET:
+            raise ResourceLimitExceeded("periodic word sweep budget exceeded")
+
+
+def _lyndon_words_in_shift(lg: LabeledGraph, N: int):
+    """The words of :func:`_lyndon_walk`, in its order; yields (w, relation
+    id of w), w a tuple of symbols."""
+    sym = [0] * max(N, 0)
+    alphabet = lg.alphabet
+    for t, rid, _shared in _lyndon_walk(lg, N, sym):
+        yield tuple(map(alphabet.__getitem__, sym[:t])), rid
 
 
 def _relation_classes(lg: LabeledGraph, N: int):
@@ -615,26 +658,45 @@ def _minimize_partial(states, trans, alphabet):
 
 def _language_covered_by(states, trans, alphabet, comp):
     """Is every word readable somewhere in (states, trans) also readable
-    within the state set ``comp``?  Subset-simulation check."""
-    comp = frozenset(comp)
+    within the state set ``comp``?  Subset-simulation check on (state,
+    state set) pairs; ``states`` are the class numbers 0..k-1, and a state
+    set is the bitmask of its members, stepped by OR-ing per-symbol
+    successor masks that keep the targets inside ``comp``."""
+    size = len(states)
+    moves = []  # per symbol: (state -> next state or -1, state set -> next set)
+    for a in alphabet:
+        target = [-1] * size
+        inside = [0] * size
+        for q in states:
+            t = trans.get((q, a))
+            if t is not None:
+                target[q] = t
+                if t in comp:
+                    inside[q] = 1 << t
+        moves.append((target, inside, {}))
+    full = 0
+    for c in comp:
+        full |= 1 << c
     seen = set()
-    stack = [(q, comp) for q in states]
+    stack = [(q, full) for q in states]
     while stack:
-        q, s = stack.pop()
-        if (q, s) in seen:
+        pair = stack.pop()
+        if pair in seen:
             continue
-        seen.add((q, s))
+        seen.add(pair)
         if len(seen) > INCLUSION_PAIR_CAP:
             raise ResourceLimitExceeded("language inclusion check too large")
-        for a in alphabet:
-            qn = trans.get((q, a))
-            if qn is None:
+        q, s = pair
+        for target, inside, stepped in moves:
+            qn = target[q]
+            if qn < 0:
                 continue
-            sn = frozenset(
-                t
-                for t in (trans.get((c, a)) for c in s)
-                if t is not None and t in comp
-            )
+            sn = stepped.get(s)
+            if sn is None:
+                sn = 0
+                for c in _bits(s):
+                    sn |= inside[c]
+                stepped[s] = sn
             if not sn:
                 return False
             stack.append((qn, sn))
@@ -789,25 +851,64 @@ def receptive_lps_upto(dp: DeterministicPresentation, N: int) -> frozenset:
 # -- layer graphs and the unique-preimage decomposition -------------------------
 
 
-def _has_perfect_matching(adj: list) -> bool:
-    """adj[i] = candidate right indices for left i; both sides same size."""
-    n = len(adj)
-    match_r = {}
+def _matched_images(rows) -> set:
+    """Masks of the vertex sets V onto which an injective matching carries
+    the sources with successor masks ``rows``: each source goes to a vertex
+    of its row, distinct sources to distinct vertices."""
+    images = {0}
+    for row in rows:
+        grown = set()
+        for img in images:
+            free = row & ~img
+            while free:
+                low = free & -free
+                grown.add(img | low)
+                free ^= low
+        images = grown
+    return images
 
-    def augment(i, seen):
-        for j in adj[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if j not in match_r or augment(match_r[j], seen):
-                match_r[j] = i
-                return True
-        return False
 
-    for i in range(n):
-        if not augment(i, set()):
-            return False
-    return True
+def _layer_tables(lg: LabeledGraph, i: int) -> tuple:
+    """(subsets, step masks, components) of layer i, on vertex indices.
+
+    Layer vertex k is ``subsets[k]``, the k-th i-subset of the
+    presentation's vertex indices in combinations order. ``step masks``
+    maps each symbol a to a tuple indexed by layer vertex: bit k of U's
+    entry is set when an injective a-matching carries U onto subsets[k].
+    ``components`` holds (j, mask) for each nontrivial strongly connected
+    component of the layer, mask its layer vertices and j its number in
+    :func:`scc_decompose`'s canonical order: that of :func:`layer_graph`
+    for i >= 2, and for i = 1 that of the presentation itself, whose
+    vertex ids the layer-1 analysis reports against.
+    """
+    subsets = list(combinations(range(lg.graph.n), i))
+    pos = {}
+    for k, U in enumerate(subsets):
+        pos[sum(1 << v for v in U)] = k
+    step_masks = {}
+    union = [0] * len(subsets)
+    for a, succ in lg.step_masks.items():
+        out = []
+        for k, U in enumerate(subsets):
+            m = 0
+            for img in _matched_images([succ[u] for u in U]):
+                m |= 1 << pos[img]
+            out.append(m)
+            union[k] |= m
+        step_masks[a] = tuple(out)
+    verts = lg.graph.by_index
+    if i == 1:
+        names = verts
+    else:
+        names = ["{" + ",".join(verts[v] for v in U) + "}" for U in subsets]
+    comps = strong_components([list(_bits(m)) for m in union])
+    comps.sort(key=lambda c: sorted(names[v] for v in c))
+    masks = []
+    for j, comp in enumerate(comps):
+        mask = sum(1 << v for v in comp)
+        if any(union[v] & mask for v in comp):
+            masks.append((j, mask))
+    return subsets, step_masks, tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -822,31 +923,22 @@ class LayerGraph:
 
 
 def layer_graph(lg: LabeledGraph, i: int) -> LayerGraph:
+    """Layer i as a labeled graph, its vertices named "{u,v,...}"."""
     if i < 1:
         raise ValueError("layer index must be >= 1")
-    verts = lg.graph.by_index  # sorted ids; vertex k is bit k of the masks
-    subsets = list(combinations(verts, i))
-    name = {s: "{" + ",".join(s) + "}" for s in subsets}
-    idx = lg.graph.index
-    masks = lg.step_masks
+    subsets, step_masks, _components = _layer_tables(lg, i)
+    verts = lg.graph.by_index
+    subsets = tuple(tuple(verts[v] for v in U) for U in subsets)
+    names = ["{" + ",".join(U) + "}" for U in subsets]
     edges, labels = [], {}
-    for a in lg.alphabet:
-        succ = masks[a]
-        for U in subsets:
-            rows = [succ[idx[u]] for u in U]
-            reach = 0
-            for row in rows:
-                reach |= row
-            # only V inside U's successor union can be matched from U
-            for ys in combinations(tuple(_bits(reach)), i):
-                adj = [[j for j, y in enumerate(ys) if row >> y & 1] for row in rows]
-                if all(adj) and _has_perfect_matching(adj):
-                    V = tuple(verts[y] for y in ys)
-                    eid = f"{name[U]}~{a}~{name[V]}"
-                    edges.append((name[U], name[V], eid))
-                    labels[eid] = a
-    g = DirectedMultigraph.build([name[s] for s in subsets], edges)
-    return LayerGraph(i, LabeledGraph.build(g, labels), tuple(subsets))
+    for a, masks in step_masks.items():
+        for k, m in enumerate(masks):
+            for y in _bits(m):
+                eid = f"{names[k]}~{a}~{names[y]}"
+                edges.append((names[k], names[y], eid))
+                labels[eid] = a
+    g = DirectedMultigraph.build(names, edges)
+    return LayerGraph(i, LabeledGraph.build(g, labels), subsets)
 
 
 @dataclass(frozen=True)
@@ -882,6 +974,18 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
     presenting it; the union over retained (layer, component) pairs is the
     full LPS on [1, N].
 
+    One walk over the Lyndon words (:func:`_lyndon_walk`) gives each word w
+    and its relation R_w on the presentation (layer 1). The separation of
+    w, the highest layer whose relation of w has a cycle, is found by
+    testing layers 2, 3, ... in turn, up to min(states, |image(R_w)|): a
+    layer-i relation of w pairs i-sets joined by a bijection along w-paths,
+    so its targets lie in image(R_w), and composing the bijections around
+    one of its cycles puts all i sources on cycles of R_w. The bound is
+    kept per id of R_w, and a layer is built when the first word reaches
+    it. Each built layer keeps the relation ids of the prefixes of the last
+    word it extended (:func:`_prefix_id`), cut back to the prefix the walk
+    has left in place since.
+
     Layer vertices are subsets of the presentation's states, so this is a
     desk-scale analysis; presentations beyond LAYER_MAX_STATES states are
     refused as a resource limit.
@@ -891,37 +995,57 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
         raise ResourceLimitExceeded(
             f"layer analysis needs <= {LAYER_MAX_STATES} states, got {nv}"
         )
-    layers: dict = {}  # i -> (prefix relations, components, id -> cycle components)
-
-    def layer(i):
-        if i not in layers:
-            base = lg if i == 1 else layer_graph(lg, i).lg
-            layers[i] = _layer_relations(base) + ({},)
-        return layers[i]
-
+    engine = lg.relations
+    rows, relations = engine.rows, engine.relations
+    alphabet = lg.alphabet
+    # layers[i]: (relation engine, steps by symbol index, prefix relation
+    # ids of the last word extended, components); layer 1 is the
+    # presentation, whose relation ids the walk supplies
+    layers: list = [None, (engine, None, None, _layer_tables(lg, 1)[2])]
+    tops: dict = {}  # layer-1 relation id -> highest layer worth testing
+    found = []  # (period, word, separation, relation id at that layer)
+    sym = [0] * max(N, 0)
+    cut = N  # shortest prefix the walk left in place since the last ladder
+    for n, rid, shared in _lyndon_walk(lg, N, sym):
+        if shared < cut:
+            cut = shared
+        top = tops.get(rid)
+        if top is None:
+            image = 0
+            for r in relations[rid][1]:
+                image |= rows[r]
+            top = tops[rid] = min(nv, image.bit_count())
+        sep = 1
+        if top > 1:
+            for layer in layers[2:]:
+                del layer[2][cut + 1:]
+            cut = N
+            for i in range(2, top + 1):
+                if i == len(layers):
+                    layers.append(_ladder_layer(lg, i))
+                layer_engine, steps, ids, _comps = layers[i]
+                r = _prefix_id(ids, steps, sym, n)
+                cyc = layer_engine.cycles[r]
+                if cyc is None:
+                    cyc = layer_engine._cycle(r)
+                if not cyc:
+                    break
+                sep, rid = i, r
+        found.append((n, "".join(map(alphabet.__getitem__, sym[:n])), sep, rid))
     supports: dict = {}
     witnesses = []
-    for w, rid1 in _lyndon_words_in_shift(lg, N):
-        n = len(w)
-        sep = 1
-        rid_at_sep = rid1
-        for i in range(2, nv + 1):
-            prefixes = layer(i)[0]
-            rid = prefixes.relation(w)
-            if not prefixes.engine._cycle(rid):
-                break
-            sep = i
-            rid_at_sep = rid
-        prefixes, comps, found_of = layer(sep)
-        found = found_of.get(rid_at_sep)
-        if found is None:
-            sources, row_ids = prefixes.engine.relations[rid_at_sep]
-            found = found_of[rid_at_sep] = _cycle_components(
-                sources, prefixes.engine.row_masks(row_ids), comps
+    components: dict = {}  # (layer, relation id) -> its cycle components
+    for n, word, sep, rid in found:
+        comps = components.get((sep, rid))
+        if comps is None:
+            layer_engine, _steps, _ids, layer_comps = layers[sep]
+            sources, row_ids = layer_engine.relations[rid]
+            comps = components[(sep, rid)] = sorted(
+                _cycle_components(sources, layer_engine.row_masks(row_ids), layer_comps)
             )
-        for j in found:
+        for j in comps:
             supports.setdefault((sep, j), set()).add(n)
-        witnesses.append((n, word_str(w), sep, min(found)))
+        witnesses.append((n, word, sep, comps[0]))
     return LayerDecomposition(
         N,
         tuple(sorted((k, frozenset(v)) for k, v in supports.items())),
@@ -929,51 +1053,30 @@ def unique_preimage_lps(lg: LabeledGraph, N: int) -> LayerDecomposition:
     )
 
 
-class _PrefixRelations:
-    """Relation ids of the prefixes of the last word asked for, in one
-    presentation; the next word starts from the longest prefix the two
-    share. The layer analysis asks for Lyndon words in lexicographic order,
-    so consecutive words share most of their prefixes."""
-
-    def __init__(self, engine: RelationEngine):
-        self.engine = engine
-        self.steps = {a: table.__getitem__ for a, table in engine.steps.items()}
-        self.word: tuple = ()
-        self.ids = [1]  # ids[k]: relation id of word[:k]
-
-    def relation(self, w: tuple) -> int:
-        k = 0
-        for a, b in zip(self.word, w):
-            if a != b:
-                break
-            k += 1
-        del self.ids[k + 1:]
-        rid = self.ids[k]
-        steps = self.steps
-        for a in w[k:]:
-            step = steps.get(a)
-            rid = 0 if step is None else step(rid)
-            self.ids.append(rid)
-        self.word = w
-        return rid
+def _prefix_id(ids: list, steps: list, sym: list, n: int) -> int:
+    """Relation id of the word with symbol indices ``sym[:n]``, given that
+    ids[k] is that of sym[:k] for every k < len(ids) <= n + 1 (ids[0] = 1,
+    the identity). Steps the last id over the rest of the word, one
+    relation-table lookup per symbol (``steps``, by symbol index), and
+    appends each prefix's id."""
+    rid = ids[-1]
+    for k in range(len(ids) - 1, n):
+        rid = steps[sym[k]](rid)
+        ids.append(rid)
+    return rid
 
 
-def _layer_relations(base: LabeledGraph) -> tuple:
-    """(prefix relations, ((j, vertex mask), ...)) of a layer presentation,
-    one (j, mask) per nontrivial component j of its SCC decomposition."""
-    g = base.graph
-    dec = scc_decompose(g)
-    comps = []
-    for j in dec.nontrivial:
-        mask = 0
-        for v in dec.components[j]:
-            mask |= 1 << g.index[v]
-        comps.append((j, mask))
-    return _PrefixRelations(base.relations), tuple(comps)
+def _ladder_layer(lg: LabeledGraph, i: int) -> tuple:
+    """(relation engine, steps by symbol index, prefix ids [identity],
+    components) of layer i >= 2, from :func:`_layer_tables`."""
+    subsets, step_masks, comps = _layer_tables(lg, i)
+    layer_engine = RelationEngine(step_masks, len(subsets))
+    steps = [layer_engine.steps[a].__getitem__ for a in lg.alphabet]
+    return layer_engine, steps, [1], comps
 
 
 def _cycle_components(sources, rows, comps) -> set:
-    """Layer components (``comps`` as from :func:`_layer_relations`)
+    """Layer components (``comps`` as from :func:`_layer_tables`)
     containing a cycle of the relation with row masks ``rows``. A relation
     cycle is a closed walk of the layer graph, so it never leaves one
     nontrivial component: each is tested on the relation restricted to its

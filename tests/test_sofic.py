@@ -135,13 +135,12 @@ def reference_products(lg, N):
     return out
 
 
-def decode(lg, rel):
-    """The (v, y) pairs of an engine relation: a labeled path from v to y."""
+def decode(lg, rel, engine=None):
+    """The (v, y) pairs of an engine relation: a labeled path from v to y.
+    The rows are read from ``engine``, by default the presentation's."""
     sources, row_ids = rel
-    rows = lg.relations.row_masks(row_ids)
-    return {
-        (v, y) for v, row in zip(sources, rows) for y in range(lg.graph.n) if row >> y & 1
-    }
+    rows = (engine or lg.relations).row_masks(row_ids)
+    return {(v, y) for v, row in zip(sources, rows) for y in range(row.bit_length()) if row >> y & 1}
 
 
 def reference_class_pass(lg, N, products, nonnil):
@@ -173,6 +172,58 @@ def reference_class_pass(lg, N, products, nonnil):
                 witnesses.setdefault(rho, "".join(min_rotation(rep[:rho])))
         p.append(total)
     return p, witnesses
+
+
+def renamed(lg, names="a ab a0 b ba bb b0".split()):
+    """``lg`` with vertex s<k> renamed names[k]: ids one of which is a prefix
+    of another, so wrapping them in braces, as layer-graph names do,
+    changes their sorted order ("a" < "ab" but "{ab}" < "{a}")."""
+    data = lg.to_json()
+    rename = {f"s{k}": name for k, name in enumerate(names)}
+    return build_labeled(
+        [rename[v] for v in data["vertices"]],
+        [(rename[e["from"]], rename[e["to"]], e["id"], e["label"]) for e in data["edges"]],
+    )
+
+
+def reference_layer_decomposition(lg, N):
+    """(supports, witnesses) of the layer decomposition by brute force, with
+    neither the Lyndon walk nor prefix ids: every word of length <= N, the
+    Lyndon ones kept, and each one's label-matrix product on every layer
+    graph (layer 1: the presentation itself). A word's separation is the
+    highest layer where its product is not nilpotent; its components are
+    those, numbered by scc_decompose, that hold a vertex on a cycle of that
+    product."""
+    layers = []
+    for i in range(1, lg.graph.n + 1):
+        layer = lg if i == 1 else layer_graph(lg, i).lg
+        layers.append((i, layer, reference_products(layer, N), scc_decompose(layer.graph)))
+    supports, witnesses = {}, []
+    for n in range(1, N + 1):
+        for w in itertools.product(lg.alphabet, repeat=n):
+            if least_rotation_period(w) != n or min_rotation(w) != w:
+                continue
+            top = None
+            for i, layer, products, dec in layers:
+                M = products.get(w)  # None: a symbol the layer does not carry
+                if M is not None and not is_nilpotent(M):
+                    top = (i, layer, M, dec)
+            if top is None:
+                continue
+            i, layer, M, dec = top
+            comps = sorted({
+                j
+                for v in on_relation_cycle(M)
+                for j, comp in enumerate(dec.components)
+                if layer.graph.by_index[v] in comp
+            })
+            for j in comps:
+                supports.setdefault((i, j), set()).add(n)
+            witnesses.append((n, "".join(w), i, comps[0]))
+    return (
+        tuple(sorted((k, frozenset(v)) for k, v in supports.items())),
+        tuple(sorted(witnesses)),
+    )
 
 
 @functools.cache
@@ -285,42 +336,113 @@ class TestRelationEngine:
             assert list(witnesses.items()) == list(ref_witnesses.items()), lg.to_json()
 
     def test_prefix_relations_against_word_relation(self):
-        # words asked for in any order, sharing prefixes or not, and with a
-        # symbol the presentation does not carry
+        # words asked for in any order, each one's prefix ids cut back to
+        # the prefix it shares with the word before, on the presentation
+        # (ids against the engine's) and on each higher layer (relations, as
+        # pairs of vertex subsets, against those of the layer graph)
         rng = random.Random(505)
         for _ in range(8):
             lg = random_labeled(rng, max_states=4, alphabet="012")
-            prefixes = sofic._PrefixRelations(lg.relations)
-            for _ in range(60):
-                w = tuple(rng.choice("0123") for _ in range(rng.randint(0, 7)))
-                rid = prefixes.relation(w)
-                assert rid == lg.relations._word_id(w), (lg.to_json(), w)
-                assert lg.relations.relations[rid] == sofic.word_relation(lg, w)
+            alphabet = lg.alphabet
+            verts = lg.graph.by_index
+            for i in range(1, lg.graph.n + 1):
+                if i == 1:
+                    engine = lg.relations
+                    steps = [engine.steps[a].__getitem__ for a in alphabet]
+                    subsets = [(v,) for v in range(lg.graph.n)]
+                else:
+                    engine, steps, _ids, _comps = sofic._ladder_layer(lg, i)
+                    subsets = sofic._layer_tables(lg, i)[0]
+                layer = layer_graph(lg, i).lg
+                names = [
+                    "{" + ",".join(verts[v] for v in U) + "}" for U in subsets
+                ]
+                layer_names = layer.graph.by_index
+                ids, word = [1], ()
+                for _ in range(40):
+                    w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+                    shared = 0
+                    while shared < min(len(w), len(word)) and w[shared] == word[shared]:
+                        shared += 1
+                    del ids[shared + 1:]
+                    sym = [alphabet.index(a) for a in w]
+                    rid = sofic._prefix_id(ids, steps, sym, len(w))
+                    assert len(ids) == len(w) + 1 and ids[-1] == rid
+                    for k in range(len(w) + 1):
+                        got = decode(None, engine.relations[ids[k]], engine)
+                        want = decode(layer, sofic.word_relation(layer, w[:k]))
+                        assert {(names[u], names[v]) for u, v in got} == {
+                            (layer_names[u], layer_names[v]) for u, v in want
+                        }, (lg.to_json(), i, w[:k])
+                    if i == 1:
+                        assert rid == lg.relations._word_id(w), (lg.to_json(), w)
+                    word = w
+
+    def test_layer_tables_against_layer_graph(self):
+        # layer 1's step masks are the presentation's own, and every layer's
+        # components are the nontrivial ones of its layer graph (of the
+        # presentation, for layer 1) as index-subset masks
+        rng = random.Random(707)
+        for k in range(24):
+            lg = random_labeled(rng, max_states=5)
+            if k % 2:
+                lg = renamed(lg)
+            assert sofic._layer_tables(lg, 1)[1] == lg.step_masks
+            verts = lg.graph.by_index
+            for i in range(1, lg.graph.n + 2):
+                subsets, _masks, comps = sofic._layer_tables(lg, i)
+                layer = lg if i == 1 else layer_graph(lg, i).lg
+                dec = scc_decompose(layer.graph)
+                names = [
+                    verts[U[0]] if i == 1 else "{" + ",".join(verts[v] for v in U) + "}"
+                    for U in subsets
+                ]
+                got = [
+                    (j, frozenset(names[v] for v in range(len(subsets)) if mask >> v & 1))
+                    for j, mask in comps
+                ]
+                assert got == [(j, dec.components[j]) for j in dec.nontrivial], (
+                    lg.to_json(), i,
+                )
 
     def test_cycle_components_against_transitive_closure(self):
+        # relations read off layer-graph label-matrix products, carried to
+        # the index subsets of _layer_tables, against the layer graph's
+        # components holding a vertex on a relation cycle
         rng = random.Random(606)
         cases = [(random_labeled(rng, max_states=6), 4) for _ in range(12)]
         cases += [(random_labeled(rng, max_states=4, alphabet="012"), 3) for _ in range(4)]
         for lg, N in cases:
+            verts = lg.graph.by_index
             for i in range(1, lg.graph.n + 1):
                 layer = lg if i == 1 else layer_graph(lg, i).lg
-                comps = sofic._layer_relations(layer)[1]
+                subsets, _masks, comps = sofic._layer_tables(lg, i)
                 dec = scc_decompose(layer.graph)
                 by_index = layer.graph.by_index
+                # layer-graph vertex index -> index subset position
+                at = {
+                    layer.graph.index[
+                        verts[U[0]] if i == 1 else "{" + ",".join(verts[v] for v in U) + "}"
+                    ]: k
+                    for k, U in enumerate(subsets)
+                }
                 for w, M in reference_products(layer, N).items():
-                    sources = tuple(v for v, row in enumerate(M) if any(row))
-                    rows = [
-                        sum(1 << y for y, x in enumerate(M[v]) if x) for v in sources
-                    ]
+                    rows = {
+                        at[v]: sum(1 << at[y] for y, x in enumerate(row) if x)
+                        for v, row in enumerate(M)
+                        if any(row)
+                    }
+                    sources = tuple(sorted(rows))
                     want = {
                         j
                         for v in on_relation_cycle(M)
                         for j, comp in enumerate(dec.components)
                         if by_index[v] in comp
                     }
-                    assert sofic._cycle_components(sources, rows, comps) == want, (
-                        lg.to_json(), i, w,
+                    got = sofic._cycle_components(
+                        sources, [rows[v] for v in sources], comps
                     )
+                    assert got == want, (lg.to_json(), i, w)
 
     def test_cycle_components_skip_a_component_the_relation_crosses(self):
         # "a" runs A -> A, A -> B1 -> C, C -> C: its relation passes through
@@ -340,7 +462,7 @@ class TestRelationEngine:
         comp_of = {v: j for j, comp in enumerate(dec.components) for v in comp}
         sources, row_ids = sofic.word_relation(lg, "a")
         got = sofic._cycle_components(
-            sources, lg.relations.row_masks(row_ids), sofic._layer_relations(lg)[1]
+            sources, lg.relations.row_masks(row_ids), sofic._layer_tables(lg, 1)[2]
         )
         assert got == {comp_of["A"], comp_of["C"]}
 
@@ -397,6 +519,25 @@ class TestRelationEngine:
         monkeypatch.setattr(sofic, "WORD_BUDGET", 17)
         with pytest.raises(ResourceLimitExceeded, match="word sweep"):
             list(sofic._lyndon_words_in_shift(full_shift_cover, 4))
+
+    def test_walk_shared_length_is_common_prefix(self):
+        # the walk lists the words of _lyndon_words_in_shift, in order, and
+        # each one's shared length is its common prefix with the word before
+        rng = random.Random(808)
+        cases = [(random_labeled(rng, max_states=5), 9) for _ in range(20)]
+        cases += [(random_labeled(rng, max_states=4, alphabet="012"), 6) for _ in range(10)]
+        for lg, N in cases:
+            sym = [0] * N
+            walked, prev = [], ()
+            for n, rid, shared in sofic._lyndon_walk(lg, N, sym):
+                w = tuple(lg.alphabet[i] for i in sym[:n])
+                common = 0
+                while common < min(n, len(prev)) and w[common] == prev[common]:
+                    common += 1
+                assert shared == common, (lg.to_json(), prev, w)
+                walked.append((w, rid))
+                prev = w
+            assert walked == list(sofic._lyndon_words_in_shift(lg, N)), lg.to_json()
 
 
 class TestSoficLps:
@@ -568,6 +709,46 @@ class TestDeterminize:
                 sofic_lps_upto(dp.lg, 12).support
                 == sofic_lps_upto(lg, 12).support
             )
+
+    def test_inclusion_check_against_breadth_first_reference(self):
+        # on minimized class automata of random presentations, for every
+        # state set: a breadth-first search over (state, frozenset) pairs
+        # for a word readable from some state but not within the set
+        def covered(states, trans, alphabet, comp):
+            seen = {(q, frozenset(comp)) for q in states}
+            frontier = list(seen)
+            while frontier:
+                nxt = []
+                for q, s in frontier:
+                    for a in alphabet:
+                        if (q, a) not in trans:
+                            continue
+                        sn = frozenset(
+                            trans[(c, a)] for c in s
+                            if (c, a) in trans and trans[(c, a)] in comp
+                        )
+                        if not sn:
+                            return False
+                        if (trans[(q, a)], sn) not in seen:
+                            seen.add((trans[(q, a)], sn))
+                            nxt.append((trans[(q, a)], sn))
+                frontier = nxt
+            return True
+
+        rng = random.Random(909)
+        checked = {True: 0, False: 0}
+        for k in range(40):
+            lg = random_labeled(rng, 4, "01" if k % 2 else "012").essential()
+            trans, states = sofic._subset_automaton(lg)
+            states, trans = sofic._trim_automaton(states, trans)
+            classes, qtrans = sofic._minimize_partial(states, trans, lg.alphabet)
+            for size in range(1, min(len(classes), 5) + 1):
+                for comp in itertools.combinations(classes, size):
+                    want = covered(classes, qtrans, lg.alphabet, set(comp))
+                    got = sofic._language_covered_by(classes, qtrans, lg.alphabet, set(comp))
+                    assert got == want, (lg.to_json(), comp)
+                    checked[want] += 1
+        assert checked[True] and checked[False]
 
     def test_reducible_shift_flagged(self):
         # disjoint union of the one-point shifts of 0^inf and 1^inf:
@@ -747,6 +928,37 @@ class TestLayers:
         l3 = layer_graph(zero_two_cycle, 3)
         assert l3.lg.graph.n == 0
 
+    def test_edges_against_bijections(self):
+        # U -a-> V exactly when some bijection U -> V sends each u along an
+        # a-edge, found by trying every ordering of V
+        rng = random.Random(717)
+        for k in range(16):
+            lg = random_labeled(rng, 5, "01" if k % 2 else "012")
+            if k % 3 == 0:
+                lg = renamed(lg)
+            arrows = {(s, lg.label_map[e], t) for (s, t, e) in lg.graph.edges}
+            for i in range(1, lg.graph.n + 1):
+                subsets = list(itertools.combinations(lg.graph.by_index, i))
+                want = {
+                    (U, a, V)
+                    for U in subsets
+                    for V in subsets
+                    for a in lg.alphabet
+                    if any(
+                        all((u, a, v) in arrows for u, v in zip(U, order))
+                        for order in itertools.permutations(V)
+                    )
+                }
+                layer = layer_graph(lg, i)
+                assert layer.subsets == tuple(subsets)
+                name = {"{" + ",".join(U) + "}": U for U in subsets}
+                got = {
+                    (name[s], layer.lg.label_map[e], name[t])
+                    for (s, t, e) in layer.lg.graph.edges
+                }
+                assert got == want, (lg.to_json(), i)
+                assert len(layer.lg.graph.edges) == len(got)
+
 
 class TestUniquePreimage:
     def test_zero_cycle(self, zero_two_cycle):
@@ -772,6 +984,40 @@ class TestUniquePreimage:
         for lg in graphs:
             dec = unique_preimage_lps(lg, 10)
             assert dec.union == sofic_lps_upto(lg, 10).support
+
+    def test_against_brute_force_reference(self, even_shift, zero_two_cycle, golden_cover):
+        rng = random.Random(61)
+        cases = [(lg, 8) for lg in (even_shift, zero_two_cycle, golden_cover)]
+        cases += [(random_labeled(rng, 5), 8) for _ in range(80)]
+        cases += [(random_labeled(rng, 4, "012"), 6) for _ in range(30)]
+        cases += [(multi_phase_100100(), 8)]
+        cases += [(renamed(random_labeled(rng, 5)), 8) for _ in range(20)]
+        layered = 0
+        for lg, N in cases:
+            dec = unique_preimage_lps(lg, N)
+            assert (dec.supports, dec.witnesses) == reference_layer_decomposition(lg, N), (
+                lg.to_json()
+            )
+            layered += any(layer > 1 for (_p, _w, layer, _j) in dec.witnesses)
+        assert layered >= 20
+
+    def test_separation_bound(self, even_shift, zero_two_cycle, golden_cover):
+        # a witness's layer is at most the number of vertices on cycles of
+        # its relation on the presentation, which is at most its image size
+        rng = random.Random(62)
+        graphs = [even_shift, zero_two_cycle, golden_cover, multi_phase_100100()]
+        graphs += [random_labeled(rng, 6) for _ in range(40)]
+        tight = 0
+        for lg in graphs:
+            for (_period, word, layer, _j) in unique_preimage_lps(lg, 8).witnesses:
+                M = [[0] * lg.graph.n for _ in range(lg.graph.n)]
+                for v, y in decode(lg, sofic.word_relation(lg, word)):
+                    M[v][y] = 1
+                on_cycles = len(on_relation_cycle(M))
+                image = sum(1 for y in range(lg.graph.n) if any(row[y] for row in M))
+                assert layer <= on_cycles <= image, (lg.to_json(), word)
+                tight += layer > 1 and layer == image
+        assert tight
 
     def test_witness_fields(self, even_shift):
         dec = unique_preimage_lps(even_shift, 5)
